@@ -20,7 +20,8 @@ pub struct MeasureConfig {
     pub body_len: usize,
     /// Warm-up iterations excluded from the steady-state measurement.
     pub warmup_iters: u32,
-    /// Measured iterations after warm-up.
+    /// Measured iterations after warm-up (at least 2: the throughput is
+    /// the span between the ends of the first and the last of them).
     pub measure_iters: u32,
     /// Relative standard deviation of the multiplicative measurement
     /// noise (0 disables noise).
@@ -76,7 +77,19 @@ pub struct Measurer<'a> {
 
 impl<'a> Measurer<'a> {
     /// Creates a measurer over `platform`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.measure_iters < 2`: the steady state is measured
+    /// between the ends of the first and the last measured iteration, so
+    /// a single one spans nothing.
     pub fn new(platform: &'a Platform, config: MeasureConfig) -> Self {
+        assert!(
+            config.measure_iters >= 2,
+            "MeasureConfig::measure_iters must be at least 2, got {}: the throughput \
+             is measured between the ends of the first and the last measured iteration",
+            config.measure_iters
+        );
         Measurer { platform, config }
     }
 
@@ -206,6 +219,35 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].experiment, es[0]);
         assert!(out.iter().all(|me| me.throughput > 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "measure_iters must be at least 2, got 1")]
+    fn one_measured_iteration_is_rejected() {
+        // One measured iteration spans zero cycles; it used to yield a
+        // NaN that the noise clamp turned into a throughput of 1e-9.
+        let p = platforms::tiny();
+        Measurer::new(
+            &p,
+            MeasureConfig {
+                measure_iters: 1,
+                ..MeasureConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn two_measured_iterations_give_a_real_throughput() {
+        let p = platforms::tiny();
+        let m = Measurer::new(
+            &p,
+            MeasureConfig {
+                measure_iters: 2,
+                ..MeasureConfig::default()
+            },
+        );
+        let tp = m.measure(&Experiment::singleton(InstId(0)));
+        assert!(tp.is_finite() && tp > 0.1, "throughput {tp}");
     }
 
     #[test]

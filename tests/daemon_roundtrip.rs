@@ -11,21 +11,49 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Writes the TINY ground-truth mapping as an artifact and returns its
-/// path — the same file format `pmevo-cli infer --out` produces.
-fn tiny_artifact(file: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pmevo_daemon_roundtrip");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(file);
-    std::fs::write(&path, platforms::tiny().ground_truth().to_json_pretty())
-        .expect("write artifact");
-    path
+/// A temporary directory owned by one test (or one proptest case) of one
+/// test process, removed on drop. Tests run concurrently, and several
+/// test processes may share the temp dir, so no two of them ever write
+/// the same artifact path.
+struct ArtifactDir(PathBuf);
+
+impl ArtifactDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "pmevo_daemon_roundtrip_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        ArtifactDir(dir)
+    }
+
+    /// Writes the TINY ground-truth mapping as an artifact and returns its
+    /// path — the same file format `pmevo-cli infer --out` produces. The
+    /// write goes to a temporary file renamed into place, so a reader
+    /// never sees a partial artifact.
+    fn tiny_artifact(&self, file: &str) -> PathBuf {
+        let path = self.0.join(file);
+        let tmp = self.0.join(format!("{file}.tmp"));
+        std::fs::write(&tmp, platforms::tiny().ground_truth().to_json_pretty())
+            .expect("write artifact");
+        std::fs::rename(&tmp, &path).expect("move artifact into place");
+        path
+    }
 }
 
-fn start_daemon() -> (Server, SocketAddr, PathBuf) {
-    let artifact = tiny_artifact("tiny.json");
+impl Drop for ArtifactDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn start_daemon(dir: &ArtifactDir) -> (Server, SocketAddr, PathBuf) {
+    let artifact = dir.tiny_artifact("tiny.json");
     let store = store_from_specs(&[format!("TINY={}", artifact.display())], None)
         .expect("ground-truth artifact loads");
     let config = ServeConfig {
@@ -127,7 +155,8 @@ proptest! {
             2..4,
         )
     ) {
-        let (server, addr, artifact) = start_daemon();
+        let dir = ArtifactDir::new();
+        let (server, addr, artifact) = start_daemon(&dir);
         let clients: Vec<_> = scripts
             .iter()
             .map(|lines| {
@@ -157,7 +186,8 @@ proptest! {
 /// counted before its stats record is built.
 #[test]
 fn stats_windows_split_hits_and_misses() {
-    let (server, addr, _artifact) = start_daemon();
+    let dir = ArtifactDir::new();
+    let (server, addr, _artifact) = start_daemon(&dir);
     let lines: String = (1..=5).map(|n| format!("add_r64_r64_r64 x{n}\n")).collect();
     let first = via_daemon(addr, &format!("{lines}!stats\n"));
     let stats1 = first.lines().last().expect("stats record");
@@ -184,7 +214,8 @@ fn stats_windows_split_hits_and_misses() {
 /// every prediction of the preceding lines before answering.
 #[test]
 fn mappings_verb_lists_versions_and_query_counts() {
-    let (server, addr, artifact) = start_daemon();
+    let dir = ArtifactDir::new();
+    let (server, addr, _artifact) = start_daemon(&dir);
 
     let empty = via_daemon(addr, "!mappings\n");
     let record = empty.trim_end();
@@ -204,7 +235,7 @@ fn mappings_verb_lists_versions_and_query_counts() {
 
     // After a hot reload both versions are listed; only the new one
     // takes subsequent (unprefixed) traffic.
-    let v2 = tiny_artifact("tiny_mappings_v2.json");
+    let v2 = dir.tiny_artifact("tiny_mappings_v2.json");
     let reload = via_daemon(
         addr,
         &format!("!reload TINY={}\nadd_r64_r64_r64 x2\n!mappings\n", v2.display()),
@@ -218,7 +249,6 @@ fn mappings_verb_lists_versions_and_query_counts() {
 
     server.stop();
     server.join();
-    drop(artifact);
 }
 
 /// A hot reload on one connection must not disturb another client's
@@ -226,8 +256,9 @@ fn mappings_verb_lists_versions_and_query_counts() {
 /// line, all referencing a valid mapping version, in input order.
 #[test]
 fn reload_mid_stream_leaves_other_clients_consistent() {
-    let (server, addr, _artifact) = start_daemon();
-    let v2 = tiny_artifact("tiny_v2.json");
+    let dir = ArtifactDir::new();
+    let (server, addr, _artifact) = start_daemon(&dir);
+    let v2 = dir.tiny_artifact("tiny_v2.json");
 
     let streamer = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");
