@@ -273,7 +273,8 @@ impl<'b> Sim<'b> {
             let num_uops = (b.uops.len() - first_uop) as u32;
             assert!(num_uops > 0, "form {} has no µops", ki.inst.0);
             let first_slot = b.slots.len();
-            b.slots.extend(ki.reads.iter().chain(&ki.writes).map(|&r| reg_slot(r)));
+            b.slots
+                .extend(ki.reads.iter().chain(&ki.writes).map(|&r| reg_slot(r)));
             b.written.extend(ki.writes.iter().map(|&r| reg_slot(r)));
             b.body.push(BodyInst {
                 first_uop,
@@ -325,7 +326,9 @@ impl<'b> Sim<'b> {
             if crossed && self.watching {
                 self.at_boundary();
             }
-            if !issued && (self.b.window.len() >= self.window_size || self.cursor >= self.total_insts) {
+            if !issued
+                && (self.b.window.len() >= self.window_size || self.cursor >= self.total_insts)
+            {
                 self.skip_idle();
             }
         }
@@ -471,7 +474,11 @@ impl<'b> Sim<'b> {
         }
         if extra != NO_DEP {
             // Fold surplus reads into the last tracked slot.
-            deps[2] = if deps[2] == NO_DEP { extra } else { deps[2].max(extra) };
+            deps[2] = if deps[2] == NO_DEP {
+                extra
+            } else {
+                deps[2].max(extra)
+            };
         }
         self.b.insts.push(InstState {
             deps,
@@ -572,7 +579,11 @@ impl<'b> Sim<'b> {
             u64::from(self.uop_pos),
             b.window.len() as u64,
         ]);
-        key.extend(self.port_free_at[..self.num_ports].iter().map(|&t| t.saturating_sub(now)));
+        key.extend(
+            self.port_free_at[..self.num_ports]
+                .iter()
+                .map(|&t| t.saturating_sub(now)),
+        );
         let mut lo = cursor;
         for &slot in &b.written {
             match self.last_writer[slot] {
@@ -765,7 +776,11 @@ mod tests {
         for e in [Experiment::singleton(add), Experiment::pair(add, 2, div, 1)] {
             simulate_kernel(&p, &builder.build(&e), 15, 90);
             let simulated = simulated_iterations();
-            assert!(simulated < 30, "{e}: only {} of 90 iterations skipped", 90 - simulated);
+            assert!(
+                simulated < 30,
+                "{e}: only {} of 90 iterations skipped",
+                90 - simulated
+            );
         }
         // Too short a run leaves no room for a jump: a period plus the
         // one iteration of stream kept for the tail.

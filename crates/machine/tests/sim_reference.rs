@@ -270,17 +270,29 @@ fn wide_isa() -> InstructionSet {
                 O::reg_read(g, Width::W64),
                 O::reg_read(v, Width::W128),
                 O::reg_read(g, Width::W64),
-                O::Mem { width: Width::W64, access: Access::Read },
+                O::Mem {
+                    width: Width::W64,
+                    access: Access::Read,
+                },
             ],
         ),
         (
             OpClass::Load,
-            vec![O::reg_write(g, Width::W64), O::Mem { width: Width::W64, access: Access::Read }],
+            vec![
+                O::reg_write(g, Width::W64),
+                O::Mem {
+                    width: Width::W64,
+                    access: Access::Read,
+                },
+            ],
         ),
         (
             OpClass::Store,
             vec![
-                O::Mem { width: Width::W64, access: Access::Write },
+                O::Mem {
+                    width: Width::W64,
+                    access: Access::Write,
+                },
                 O::reg_read(g, Width::W64),
                 O::reg_read(v, Width::W128),
             ],
@@ -322,12 +334,20 @@ fn random_platform(seed: u64, ports: usize, fetch: u32, window: u32, isa: usize)
                 .map(|_| {
                     let mask = rng.gen_range(1..(1u64 << ports));
                     let set: Vec<usize> = (0..ports).filter(|p| mask >> p & 1 == 1).collect();
-                    let count = if rng.gen_range(0..3) == 0 { rng.gen_range(2..=3) } else { 1 };
+                    let count = if rng.gen_range(0..3) == 0 {
+                        rng.gen_range(2..=3)
+                    } else {
+                        1
+                    };
                     UopEntry::new(count, PortSet::from_ports(&set))
                 })
                 .collect::<Vec<_>>(),
         );
-        let blocking = if rng.gen_range(0..4) == 0 { rng.gen_range(0..=12) } else { 1 };
+        let blocking = if rng.gen_range(0..4) == 0 {
+            rng.gen_range(0..=12)
+        } else {
+            1
+        };
         exec.push(ExecParams {
             latency: rng.gen_range(1..=40),
             blocking,
@@ -384,7 +404,11 @@ fn random_experiment(p: &Platform, seed: u64, forms: usize) -> Experiment {
 const RUNS: [(u32, u32); 6] = [(0, 2), (1, 3), (2, 6), (3, 12), (5, 24), (10, 40)];
 
 fn bits(r: SimResult) -> (u64, u64, u64) {
-    (r.cycles_per_iter.to_bits(), r.cycles_per_instance.to_bits(), r.total_cycles)
+    (
+        r.cycles_per_iter.to_bits(),
+        r.cycles_per_instance.to_bits(),
+        r.total_cycles,
+    )
 }
 
 proptest! {
