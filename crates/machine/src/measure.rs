@@ -224,8 +224,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "measure_iters must be at least 2, got 1")]
     fn one_measured_iteration_is_rejected() {
-        // One measured iteration spans zero cycles; it used to yield a
-        // NaN that the noise clamp turned into a throughput of 1e-9.
+        // One measured iteration spans zero cycles: there is no
+        // throughput to report, and the noise clamp would hide a NaN.
         let p = platforms::tiny();
         Measurer::new(
             &p,

@@ -797,12 +797,4 @@ mod tests {
         let k = LoopBuilder::new(p.isa()).build(&Experiment::singleton(InstId(0)));
         simulate_kernel(&p, &k, 10, 11);
     }
-
-    #[test]
-    fn shortest_measurement_is_finite() {
-        let p = platforms::skl();
-        let k = LoopBuilder::new(p.isa()).build(&Experiment::singleton(InstId(0)));
-        let r = simulate_kernel(&p, &k, 10, 12);
-        assert!(r.cycles_per_iter.is_finite() && r.cycles_per_iter > 0.0);
-    }
 }

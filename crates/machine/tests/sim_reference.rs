@@ -399,7 +399,7 @@ fn random_experiment(p: &Platform, seed: u64, forms: usize) -> Experiment {
     Experiment::from_counts(&counts)
 }
 
-/// `(warmup, iters)` pairs: the first three are too short for the
+/// `(warmup, iters)` pairs: the first two are too short for the
 /// fast-forward to trigger.
 const RUNS: [(u32, u32); 6] = [(0, 2), (1, 3), (2, 6), (3, 12), (5, 24), (10, 40)];
 
