@@ -389,7 +389,8 @@ fn register_floor(isa: &InstructionSet) -> (usize, usize) {
     floor
 }
 
-/// 1–4 distinct forms of `p` with counts 1–4.
+/// 1–4 forms of `p` drawn at random with counts 1–4 (a form drawn twice
+/// adds up its counts).
 fn random_experiment(p: &Platform, seed: u64, forms: usize) -> Experiment {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     let n = p.isa().len() as u32;
@@ -425,6 +426,8 @@ proptest! {
         isa in 0usize..4,
         forms in 1usize..=4,
         body in prop_oneof![Just(1usize), Just(3usize), Just(7usize), Just(50usize), Just(120usize)],
+        // 80 GPRs overflow the rename table's 64 slots per class, which
+        // aliases registers modulo 64.
         (gprs, vecs) in (prop_oneof![4usize..=6, 4usize..=16, Just(80usize)], 1usize..=16),
         run in 0usize..RUNS.len(),
     ) {
