@@ -4,20 +4,14 @@
 //! count and island count — plus a golden on-disk fixture that pins the
 //! v1 artifact format itself.
 
+mod common;
+
+use common::{load_without_timings, ScratchDir};
 use proptest::prelude::*;
 use pmevo::core::{MeasurementBudget, SelectionPolicy};
 use pmevo::machine::platforms;
 use pmevo::{Session, SessionCheckpoint, SessionReport};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-/// A per-test scratch directory under the system temp dir. Tests write
-/// uniquely-named files into it, so no cleanup races between tests.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pmevo_checkpoint_resume").join(name);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 /// Everything that parameterizes one inference run in these tests.
 #[derive(Clone, Copy)]
@@ -65,8 +59,13 @@ fn run_session(
 
 /// Run the kill → resume → compare cycle once and return
 /// `(uninterrupted, resumed)` reports.
-fn kill_and_resume(run: Run, dir: &Path, tag: &str, halt_after: u32) -> (SessionReport, SessionReport) {
-    let ck = dir.join(format!("ck_{tag}.json"));
+fn kill_and_resume(
+    run: Run,
+    dir: &ScratchDir,
+    tag: &str,
+    halt_after: u32,
+) -> (SessionReport, SessionReport) {
+    let ck = dir.path(&format!("ck_{tag}.json"));
     let full = run_session(run, None, None);
     let halted = run_session(run, Some((&ck, 1, halt_after)), None);
     // The halted run must actually have stopped early, or the test
@@ -85,7 +84,7 @@ fn kill_and_resume(run: Run, dir: &Path, tag: &str, halt_after: u32) -> (Session
 /// bit-identical to the uninterrupted run — at 1, 2 and 8 workers.
 #[test]
 fn killed_adaptive_session_resumes_bit_identically_at_1_2_8_workers() {
-    let dir = scratch_dir("adaptive_workers");
+    let dir = ScratchDir::new("adaptive_workers");
     let mut reports = Vec::new();
     for workers in [1usize, 2, 8] {
         let run = Run { seed: 77, islands: 2, workers, adaptive: true };
@@ -106,7 +105,7 @@ fn killed_adaptive_session_resumes_bit_identically_at_1_2_8_workers() {
 /// rather than between selection rounds.
 #[test]
 fn killed_one_shot_session_resumes_bit_identically() {
-    let dir = scratch_dir("one_shot");
+    let dir = ScratchDir::new("one_shot");
     for workers in [1usize, 2, 8] {
         let run = Run { seed: 5, islands: 3, workers, adaptive: false };
         let (full, resumed) = kill_and_resume(run, &dir, &format!("w{workers}"), 2);
@@ -150,7 +149,7 @@ fn island_reports_are_worker_count_invariant() {
 /// cycle equal the uninterrupted run's.
 #[test]
 fn resume_does_not_re_measure() {
-    let dir = scratch_dir("billing");
+    let dir = ScratchDir::new("billing");
     let run = Run { seed: 3, islands: 2, workers: 2, adaptive: true };
     let (full, resumed) = kill_and_resume(run, &dir, "billing", 2);
     assert_eq!(resumed.measurements_performed, full.measurements_performed);
@@ -173,7 +172,7 @@ proptest! {
         adaptive in 0u32..2,
     ) {
         let adaptive = adaptive == 1;
-        let dir = scratch_dir("fuzz");
+        let dir = ScratchDir::new("fuzz");
         let run = Run { seed, islands, workers: 2, adaptive };
         let tag = format!("s{seed}_h{halt_after}_i{islands}_{adaptive}");
         let (full, resumed) = kill_and_resume(run, &dir, &tag, halt_after);
@@ -216,8 +215,8 @@ fn golden_checkpoint_v1_still_decodes() {
 /// uninterrupted run with its recorded parameters.
 #[test]
 fn golden_checkpoint_v1_still_resumes() {
-    let dir = scratch_dir("golden_resume");
-    let ck = dir.join("golden_live.json");
+    let dir = ScratchDir::new("golden_resume");
+    let ck = dir.path("golden_live.json");
     // Copy the fixture so the resumed run's own checkpoints don't
     // overwrite the committed artifact.
     std::fs::copy(fixture_path(), &ck).expect("copy fixture into scratch");
@@ -227,19 +226,34 @@ fn golden_checkpoint_v1_still_resumes() {
     assert_eq!(resumed.without_timings(), full.without_timings());
 }
 
+/// The fixture-generation procedure: halt the golden run after its
+/// second checkpoint and write that checkpoint to `out` with its
+/// wall-clock fields — the only run-to-run unstable ones — zeroed.
+fn write_golden_fixture(name: &str, out: &Path) {
+    let dir = ScratchDir::new(name);
+    let ck = dir.path("ck.json");
+    let _ = run_session(GOLDEN, Some((&ck, 1, 2)), None);
+    load_without_timings(&ck).save(out).expect("write golden fixture");
+}
+
+/// The committed fixture is exactly what this build generates: the
+/// procedure below, written to a scratch path, reproduces it byte for
+/// byte.
+#[test]
+fn golden_checkpoint_v1_regenerates_byte_for_byte() {
+    let dir = ScratchDir::new("golden_regen_check");
+    let out = dir.path("regenerated.json");
+    write_golden_fixture("golden_regen_check_run", &out);
+    let regenerated = std::fs::read(&out).expect("regenerated fixture");
+    let committed = std::fs::read(fixture_path()).expect("golden fixture present");
+    assert!(regenerated == committed, "the golden checkpoint fixture no longer regenerates");
+}
+
 /// Regenerates `tests/fixtures/checkpoint_v1.json`. Run explicitly
 /// (`cargo test -- --ignored regenerate_golden`) after an intentional
 /// format change, then commit the new artifact.
 #[test]
 #[ignore = "writes the committed golden fixture; run by hand after intentional format changes"]
 fn regenerate_golden_checkpoint_fixture() {
-    let dir = scratch_dir("golden_regen");
-    let ck = dir.join("ck.json");
-    let _ = run_session(GOLDEN, Some((&ck, 1, 2)), None);
-    let mut cp = SessionCheckpoint::load(&ck).expect("halted run wrote a checkpoint");
-    // Wall-clock time is the only run-to-run unstable field; zero it so
-    // the committed artifact is reproducible.
-    cp.used.measurement_time = Duration::ZERO;
-    cp.rounds = cp.rounds.drain(..).map(|r| r.without_timing()).collect();
-    cp.save(&fixture_path()).expect("write golden fixture");
+    write_golden_fixture("golden_regen", &fixture_path());
 }
