@@ -5,8 +5,10 @@
 //! additionally pinpoints bad corpus lines by line *and* column and
 //! suggests the nearest known mnemonic for typos.
 
+mod common;
+
+use common::ScratchDir;
 use pmevo::machine::platforms;
-use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
 fn cli() -> Command {
@@ -71,13 +73,14 @@ fn predict_without_mappings_asks_for_one() {
 
 #[test]
 fn unreadable_and_malformed_mapping_specs_error_cleanly() {
+    let dir = ScratchDir::new("unreadable_and_malformed_mapping_specs_error_cleanly");
     let out = run(&["predict", "--mapping", "TINY=/definitely/not/here.json"]);
     assert_graceful(&out, "cannot read /definitely/not/here.json");
 
     // A free (non-platform) name is legal only for binary artifacts,
     // which embed their instruction names; a JSON artifact under one is
     // refused with a pointer at the converter.
-    let tiny = scratch("free_name.json", &platforms::tiny().ground_truth().to_json_pretty());
+    let tiny = dir.write("free_name.json", &platforms::tiny().ground_truth().to_json_pretty());
     let out = run(&["predict", "--mapping", &format!("M1={}", tiny.display())]);
     assert_graceful(&out, "\"M1\" is not a built-in platform");
     assert_graceful(&out, "see `pmevo-cli convert`");
@@ -119,6 +122,7 @@ fn infer_rejects_unknown_artifact_formats() {
 
 #[test]
 fn convert_errors_are_reported_cleanly() {
+    let dir = ScratchDir::new("convert_errors_are_reported_cleanly");
     // Missing --in/--out is a usage error.
     let out = run(&["convert"]);
     assert_corpus_error(&out, "convert needs --in <artifact> and --out <artifact>");
@@ -130,14 +134,14 @@ fn convert_errors_are_reported_cleanly() {
 
     // JSON → binary without a platform: the binary format embeds the
     // instruction-name table, which JSON artifacts do not carry.
-    let tiny = scratch("convert_tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
+    let tiny = dir.write("convert_tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
     let out = run(&["convert", "--in", tiny.to_str().unwrap(), "--out", "x.bin"]);
     assert_corpus_error(&out, "converting a JSON artifact to binary needs --platform");
     assert_eq!(out.status.code(), Some(2));
 
     // A corrupt binary artifact decodes to a structured error naming the
     // byte offset, not a panic.
-    let garbage = scratch("convert_garbage.bin", "PMEVOBINgarbage-not-a-real-artifact");
+    let garbage = dir.write("convert_garbage.bin", "PMEVOBINgarbage-not-a-real-artifact");
     let out = run(&["convert", "--in", garbage.to_str().unwrap(), "--out", "x.json"]);
     assert_corpus_error(&out, "cannot decode");
     assert_corpus_error(&out, "at byte");
@@ -159,19 +163,10 @@ fn assert_corpus_error(out: &Output, needle: &str) {
     assert!(!out.status.success());
 }
 
-/// Writes `file` into a temp dir for corpus-mode tests and returns its
-/// path.
-fn scratch(file: &str, contents: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pmevo_cli_errors");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(file);
-    std::fs::write(&path, contents).expect("write scratch file");
-    path
-}
-
 #[test]
 fn corpus_mode_flag_errors_are_reported_cleanly() {
-    let corpus = scratch("corpus_flags.txt", "addq %rax, %rbx\n");
+    let dir = ScratchDir::new("corpus_mode_flag_errors_are_reported_cleanly");
+    let corpus = dir.write("corpus_flags.txt", "addq %rax, %rbx\n");
     let corpus = corpus.to_str().unwrap();
 
     let out = run(&["predict", "--corpus", corpus]);
@@ -185,14 +180,14 @@ fn corpus_mode_flag_errors_are_reported_cleanly() {
     assert_corpus_error(&out, "unsupported --isa riscv");
 
     // A mapping for the wrong platform: the error names the one needed.
-    let tiny = scratch("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
+    let tiny = dir.write("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
     let out = run(&[
         "predict", "--corpus", corpus, "--uarch", "skl",
         "--mapping", &format!("TINY={}", tiny.display()),
     ]);
     assert_corpus_error(&out, "corpus replay on skl needs --mapping SKL=file.json");
 
-    let skl = scratch("skl.json", &platforms::skl().ground_truth().to_json_pretty());
+    let skl = dir.write("skl.json", &platforms::skl().ground_truth().to_json_pretty());
     let out = run(&[
         "predict", "--corpus", "/definitely/not/here.txt", "--uarch", "skl",
         "--mapping", &format!("SKL={}", skl.display()),
@@ -205,11 +200,12 @@ fn corpus_mode_flag_errors_are_reported_cleanly() {
 /// nearest-known suggestion.
 #[test]
 fn corpus_records_carry_line_column_and_suggestions() {
-    let corpus = scratch(
+    let dir = ScratchDir::new("corpus_records_carry_line_column_and_suggestions");
+    let corpus = dir.write(
         "corpus_bad.txt",
         "addq %rax, %rbx\n\naddd %rax, %rbx\n\nmov rax, @x\n",
     );
-    let skl = scratch("skl.json", &platforms::skl().ground_truth().to_json_pretty());
+    let skl = dir.write("skl.json", &platforms::skl().ground_truth().to_json_pretty());
     let out = run(&[
         "predict",
         "--corpus", corpus.to_str().unwrap(),
@@ -242,7 +238,8 @@ fn corpus_records_carry_line_column_and_suggestions() {
 /// a typo'd instruction name.
 #[test]
 fn experiment_mode_suggests_nearest_form() {
-    let tiny = scratch("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
+    let dir = ScratchDir::new("experiment_mode_suggests_nearest_form");
+    let tiny = dir.write("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
     let out = run(&[
         "predict",
         "--platform", "TINY",
@@ -281,8 +278,9 @@ fn resume_without_checkpoint_flag_is_a_usage_error() {
 
 #[test]
 fn truncated_checkpoint_reports_the_byte_position() {
+    let dir = ScratchDir::new("truncated_checkpoint_reports_the_byte_position");
     let golden = golden_checkpoint();
-    let truncated = scratch("ck_truncated.json", &golden[..golden.len() / 2]);
+    let truncated = dir.write("ck_truncated.json", &golden[..golden.len() / 2]);
     let out = run(&[
         "infer", "--platform", "TINY",
         "--checkpoint", truncated.to_str().unwrap(),
@@ -295,7 +293,8 @@ fn truncated_checkpoint_reports_the_byte_position() {
 
 #[test]
 fn corrupted_checkpoint_is_rejected_without_panicking() {
-    let garbage = scratch("ck_garbage.json", "this is not a checkpoint");
+    let dir = ScratchDir::new("corrupted_checkpoint_is_rejected_without_panicking");
+    let garbage = dir.write("ck_garbage.json", "this is not a checkpoint");
     let out = run(&[
         "infer", "--platform", "TINY",
         "--checkpoint", garbage.to_str().unwrap(),
@@ -307,8 +306,9 @@ fn corrupted_checkpoint_is_rejected_without_panicking() {
 
 #[test]
 fn future_checkpoint_version_is_named_in_the_error() {
+    let dir = ScratchDir::new("future_checkpoint_version_is_named_in_the_error");
     let from_the_future = golden_checkpoint().replace("\"version\":1,", "\"version\":99,");
-    let path = scratch("ck_v99.json", &from_the_future);
+    let path = dir.write("ck_v99.json", &from_the_future);
     let out = run(&[
         "infer", "--platform", "TINY",
         "--checkpoint", path.to_str().unwrap(),
@@ -331,9 +331,10 @@ fn missing_checkpoint_file_names_the_path() {
 
 #[test]
 fn checkpoint_for_another_platform_is_a_header_mismatch() {
+    let dir = ScratchDir::new("checkpoint_for_another_platform_is_a_header_mismatch");
     // The golden artifact records the 6-form TINY universe; resuming it
     // into an SKL session must name the universe mismatch.
-    let path = scratch("ck_tiny.json", &golden_checkpoint());
+    let path = dir.write("ck_tiny.json", &golden_checkpoint());
     let out = run(&[
         "infer", "--platform", "SKL",
         "--checkpoint", path.to_str().unwrap(),
@@ -346,9 +347,10 @@ fn checkpoint_for_another_platform_is_a_header_mismatch() {
 
 #[test]
 fn conflicting_seed_on_resume_is_a_header_mismatch() {
+    let dir = ScratchDir::new("conflicting_seed_on_resume_is_a_header_mismatch");
     // Flags not repeated on resume are adopted from the artifact, but an
     // explicitly conflicting one is an error, not a silent divergence.
-    let path = scratch("ck_seed.json", &golden_checkpoint());
+    let path = dir.write("ck_seed.json", &golden_checkpoint());
     let out = run(&[
         "infer", "--platform", "TINY",
         "--checkpoint", path.to_str().unwrap(),
