@@ -10,7 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmevo_core::bottleneck::{lp_throughput, throughput_naive};
 use pmevo_core::{Experiment, InstId, MeasuredExperiment, ThreeLevelMapping};
-use pmevo_evo::{average_relative_error, evolve, EvoConfig, FitnessEngine};
+use pmevo_evo::{
+    average_relative_error, evolve_islands, EvoConfig, FitnessEngine, IslandConfig, IslandStart,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -95,7 +97,18 @@ fn bench_mutation_ablation(c: &mut Criterion) {
                     seed: 5,
                     ..EvoConfig::default()
                 };
-                black_box(evolve(12, 6, &measured, &tp, &config).objectives.error)
+                let run = evolve_islands(
+                    12,
+                    6,
+                    &measured,
+                    &tp,
+                    &config,
+                    &IslandConfig::default(),
+                    IslandStart::Fresh(Vec::new()),
+                    true,
+                    None,
+                );
+                black_box(run.result.objectives.error)
             })
         });
     }

@@ -3,8 +3,10 @@
 //!
 //! The paper's GA is embarrassingly island-parallel: subpopulations
 //! evolve independently and only exchange their best individuals every
-//! few generations. This module generalizes [`crate::evolve_resumable`]
-//! into that shape while keeping the workspace's bit-identity contract:
+//! few generations. [`evolve_islands`] runs the GA in that shape — it is
+//! the only entry point to evolution, and one island is the paper's
+//! classic single-population loop — while keeping the workspace's
+//! bit-identity contract:
 //!
 //! * **RNG splitting** — island `i` draws from its own `StdRng` stream
 //!   seeded with [`island_seed`]`(config.seed, i)`. Island 0's seed *is*
@@ -25,7 +27,7 @@
 //!
 //! The full loop state lives in [`EvoState`], which converts losslessly
 //! to and from [`pmevo_core::checkpoint::EvoCheckpoint`] — the basis of
-//! the session checkpoint/resume feature (see [`crate::selection`]).
+//! the session checkpoint/resume feature (see [`crate::pipeline`]).
 
 use crate::evolution::{hill_climb, mutate, recombine, EvoConfig, EvoResult};
 use crate::fitness::{scalarize, FitnessEngine, Objectives};
@@ -229,12 +231,21 @@ fn migrate(islands: &mut [Island], migrants: usize) {
     }
 }
 
-/// Runs the island-model evolutionary algorithm.
+/// Runs the island-model evolutionary algorithm over `num_insts`
+/// (representative) instructions on a machine with `num_ports` ports.
 ///
-/// With `islands.count == 1` and a fresh start this is exactly the
-/// classic [`crate::evolve_resumable`] loop, bit for bit; more islands
-/// trade per-island population size for diversity and migrate on the
-/// ring described in the [module documentation](self).
+/// `experiments` are the measured training experiments (over the same
+/// instruction universe `0..num_insts`), `indiv_tp[i]` the measured
+/// individual throughput of instruction `i` (used to bound the random
+/// initialization as in paper §4.4). The final greedy local search runs
+/// when `local_search` is set; intermediate segments of a round-based
+/// run skip it and warm-start the next segment from the returned
+/// populations.
+///
+/// With `islands.count == 1` and a fresh start this is the paper's
+/// classic single-population loop; more islands trade per-island
+/// population size for diversity and migrate on the ring described in
+/// the [module documentation](self).
 ///
 /// `observer`, when given, runs after every generation (post-migration)
 /// and may halt the run — the checkpoint writer uses this to both
@@ -463,7 +474,6 @@ pub fn evolve_islands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evolution::evolve_resumable;
     use pmevo_core::{Experiment, InstId, PortSet, UopEntry};
 
     fn uop(count: u32, ports: &[usize]) -> UopEntry {
@@ -518,28 +528,6 @@ mod tests {
         assert_eq!(island_seed(0x90AD, 0), 0x90AD);
         assert_ne!(island_seed(0x90AD, 1), 0x90AD);
         assert_ne!(island_seed(0x90AD, 1), island_seed(0x90AD, 2));
-    }
-
-    #[test]
-    fn one_island_is_bitwise_the_classic_loop() {
-        let (measured, indiv) = toy_problem();
-        let cfg = config(21, 2);
-        let classic = evolve_resumable(3, 3, &measured, &indiv, &cfg, Vec::new(), true);
-        let island = evolve_islands(
-            3,
-            3,
-            &measured,
-            &indiv,
-            &cfg,
-            &IslandConfig::default(),
-            IslandStart::Fresh(Vec::new()),
-            true,
-            None,
-        );
-        assert_eq!(classic.result.mapping, island.result.mapping);
-        assert_eq!(classic.result.history, island.result.history);
-        assert_eq!(classic.population, island.islands[0].population);
-        assert!(!island.halted);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ISA ──► ExperimentGenerator ──► (measurement, external) ──►
-//!     CongruencePartition ──► evolve() + hill climbing ──► mapping
+//!     CongruencePartition ──► evolve_islands() + hill climbing ──► mapping
 //! ```
 //!
 //! [`pipeline::run`] wires all stages against a
@@ -13,12 +13,15 @@
 //! paper Table 2 (benchmarking time, inference time, congruence ratio,
 //! distinct-µop count). [`PmEvoAlgorithm`] packages the pipeline as a
 //! [`pmevo_core::InferenceAlgorithm`] for the session API.
+//! [`evolve_islands`] is the one way to run evolution.
 //!
 //! Measurement itself is either one-shot (the paper's fixed corpus) or
 //! round-based under an explicit budget: the [`selection`] module
 //! interleaves measure→evolve rounds, submitting only the experiments
 //! the current population disagrees on
 //! ([`pmevo_core::SelectionPolicy`], [`pmevo_core::MeasurementBudget`]).
+//! A fresh and a resumed run share one path: both continue from a
+//! checkpoint-shaped start state (see [`pipeline`]).
 
 #![deny(missing_docs)]
 
@@ -34,7 +37,7 @@ pub mod validate;
 
 pub use algorithm::PmEvoAlgorithm;
 pub use congruence::{throughput_close, CongruencePartition};
-pub use evolution::{evolve, evolve_resumable, EvoConfig, EvoResult, ResumableEvolution};
+pub use evolution::{EvoConfig, EvoResult};
 pub use expgen::{CandidateStream, ExperimentGenerator};
 pub use fitness::{average_relative_error, scalarize, ErrorCache, FitnessEngine, Objectives};
 pub use islands::{
@@ -42,8 +45,5 @@ pub use islands::{
     IslandsEvolution,
 };
 pub use pipeline::{run, CheckpointConfig, PipelineConfig, PipelineResult};
-pub use selection::{
-    run_adaptive, run_adaptive_with, AdaptiveContext, AdaptiveOutcome, AdaptiveResume,
-    AdaptiveTuning, CheckpointEvent, CheckpointHook,
-};
+pub use selection::AdaptiveTuning;
 pub use validate::{validate, ValidationReport};

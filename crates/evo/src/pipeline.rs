@@ -12,15 +12,20 @@
 //! counts come from the backend's [`BackendStats`] delta, so a
 //! [`pmevo_core::CachingBackend`] that answers from its cache is not
 //! billed again.
+//!
+//! Every run goes through one *start state*: a [`SessionCheckpoint`]
+//! holding the measured corpus, the singleton throughputs, the
+//! congruence classes and the round-0 accounting, but no evolution
+//! state yet. A fresh run measures until evolution can start and packs
+//! that state itself; a resumed run decodes it from the checkpoint
+//! file. Evolution, checkpointing and the final bookkeeping then follow
+//! a single path for both.
 
 use crate::congruence::{throughput_close, CongruencePartition};
 use crate::evolution::{EvoConfig, EvoResult};
 use crate::expgen::ExperimentGenerator;
 use crate::islands::{evolve_islands, EvoState, IslandConfig, IslandControl, IslandObserver, IslandStart};
-use crate::selection::{
-    run_adaptive_with, AdaptiveContext, AdaptiveResume, AdaptiveTuning, CheckpointEvent,
-    CheckpointHook,
-};
+use crate::selection::{run_adaptive, AdaptiveTuning};
 use pmevo_core::checkpoint::{CheckpointPhase, SessionCheckpoint};
 use pmevo_core::{
     BackendStats, Experiment, InstId, MeasuredExperiment, MeasurementBackend,
@@ -113,34 +118,33 @@ impl CheckpointConfig {
     }
 }
 
-/// The pipeline's [`CheckpointHook`]: fills a header template with each
-/// event's dynamic state and writes the artifact on the configured
-/// cadence.
-struct CheckpointWriter {
+/// Writes a run's checkpoints on the configured cadence: the start
+/// state's header and progress, plus the live evolution state.
+pub(crate) struct CheckpointWriter {
     path: PathBuf,
     every: u32,
     halt_after: Option<u32>,
     written: u32,
     generations_seen: u32,
-    template: SessionCheckpoint,
 }
 
 impl CheckpointWriter {
-    fn new(cfg: &CheckpointConfig, template: SessionCheckpoint) -> Self {
+    fn new(cfg: &CheckpointConfig) -> Self {
         CheckpointWriter {
             path: cfg.path.clone(),
             every: cfg.every.max(1),
             halt_after: cfg.halt_after,
             written: 0,
             generations_seen: 0,
-            template,
         }
     }
-}
 
-impl CheckpointHook for CheckpointWriter {
-    fn on_state(&mut self, event: &CheckpointEvent<'_>) -> IslandControl {
-        let due = match event.phase {
+    /// Writes `state` with the live evolution state `evo` when due:
+    /// after every `every`-th generation, and always at the pre-polish
+    /// boundary. Returns [`IslandControl::Halt`] once `halt_after`
+    /// checkpoints are written.
+    pub(crate) fn on_state(&mut self, state: &SessionCheckpoint, evo: &EvoState) -> IslandControl {
+        let due = match state.phase {
             CheckpointPhase::PrePolish => true,
             _ => {
                 self.generations_seen += 1;
@@ -150,15 +154,10 @@ impl CheckpointHook for CheckpointWriter {
         if !due {
             return IslandControl::Continue;
         }
-        let mut cp = self.template.clone();
-        cp.used = event.used;
-        cp.measured = event.measured.to_vec();
-        cp.rounds = event.rounds.to_vec();
-        cp.round_mappings = event.round_mappings.to_vec();
-        cp.pool = event.pool.to_vec();
-        cp.stream_taken = event.stream_taken;
-        cp.phase = event.phase;
-        cp.evo = event.evo.map(EvoState::to_checkpoint);
+        let cp = SessionCheckpoint {
+            evo: Some(evo.to_checkpoint()),
+            ..state.clone()
+        };
         if let Err(e) = cp.save(&self.path) {
             panic!("cannot write checkpoint: {e}");
         }
@@ -168,39 +167,14 @@ impl CheckpointHook for CheckpointWriter {
         }
         IslandControl::Continue
     }
-}
 
-/// The header template of every checkpoint this run writes: the static
-/// configuration plus the full-universe singleton throughputs and
-/// congruence classes (`rep_of[i]` = representative of instruction `i`),
-/// from which a resume reconstructs the partition without re-measuring.
-fn checkpoint_template(
-    num_insts: usize,
-    num_ports: usize,
-    config: &PipelineConfig,
-    indiv_tp: &[f64],
-    partition: &CongruencePartition,
-) -> SessionCheckpoint {
-    SessionCheckpoint {
-        seed: config.evo.seed,
-        num_insts,
-        num_ports,
-        islands: config.islands.count,
-        population_size: config.evo.population_size as u64,
-        selection: config.selection,
-        budget: config.budget,
-        used: BackendStats::default(),
-        indiv_tp: indiv_tp.to_vec(),
-        rep_of: (0..num_insts as u32)
-            .map(|i| partition.representative(InstId(i)).0)
-            .collect(),
-        measured: Vec::new(),
-        rounds: Vec::new(),
-        round_mappings: Vec::new(),
-        pool: Vec::new(),
-        stream_taken: 0,
-        phase: CheckpointPhase::OneShot,
-        evo: None,
+    /// An [`IslandObserver`] body that checkpoints `state` with every
+    /// generation's evolution state.
+    pub(crate) fn observer<'a>(
+        &'a mut self,
+        state: &'a SessionCheckpoint,
+    ) -> impl FnMut(&EvoState) -> IslandControl + 'a {
+        move |evo| self.on_state(state, evo)
     }
 }
 
@@ -215,7 +189,9 @@ pub struct PipelineResult {
     /// [`BackendStats`]; cache hits of a
     /// [`pmevo_core::CachingBackend`] cost nothing here).
     pub benchmarking_time: Duration,
-    /// Time spent in congruence filtering + evolution + local search.
+    /// Wall time of this call minus the time this process spent
+    /// measuring: congruence filtering, evolution and local search, plus
+    /// the run's own bookkeeping.
     pub inference_time: Duration,
     /// Real measurements the backend performed for this run (deduped
     /// experiments are counted once).
@@ -283,10 +259,18 @@ fn expand_mapping(
 /// (inference is undefined without it), so a budget smaller than the
 /// universe is exceeded by the seed corpus and no rounds are run.
 ///
+/// With [`CheckpointConfig::resume_from`] set, the run continues that
+/// checkpoint instead: nothing is re-measured, budget accounting starts
+/// from its [`SessionCheckpoint::used`], and the result is bit-identical
+/// to the uninterrupted run's (up to wall-clock timings).
+///
 /// # Panics
 ///
 /// Panics if `num_insts == 0`, the backend returns the wrong number of
-/// results, or measurements are not positive and finite.
+/// results, measurements are not positive and finite, or a resumed
+/// checkpoint's header disagrees with the configuration (universe
+/// size, port count, seed, islands, population size, selection policy,
+/// or budget).
 pub fn run(
     num_insts: usize,
     num_ports: usize,
@@ -294,155 +278,216 @@ pub fn run(
     config: &PipelineConfig,
 ) -> PipelineResult {
     assert!(num_insts > 0, "empty instruction universe");
-    if let Some(snapshot) = config
-        .checkpoint
-        .as_ref()
-        .and_then(|c| c.resume_from.as_deref())
-    {
-        return resume_run(num_insts, num_ports, backend, config, snapshot);
-    }
-    let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
-    let generator = ExperimentGenerator::new(universe.clone());
     let run_start: BackendStats = backend.stats();
     let wall_start = Instant::now();
-
-    // Stage 1: the singleton sweep — the seed corpus of every policy.
-    // Cost is accounted by the backend itself, so deduplicated
-    // measurements are not double-counted.
-    let singletons = generator.singletons();
-    let indiv_tp = backend.measure_batch_checked(&singletons);
-    let mut measured: Vec<MeasuredExperiment> = singletons
-        .iter()
-        .cloned()
-        .zip(indiv_tp.iter().copied())
-        .map(|(e, t)| MeasuredExperiment::new(e, t))
-        .collect();
-
-    if config.selection.is_adaptive() {
-        return run_adaptive_pipeline(
-            num_ports, &universe, measured, &indiv_tp, backend, config, run_start, wall_start,
-        );
-    }
-
-    // --- One-shot path (paper Figure 5). ---
-    // Stage 2: measure the full pair corpus.
-    let mut extra = generator.pairs(&indiv_tp);
-    if config.extra_triples > 0 {
-        extra.extend(generator.triples(config.extra_triples, config.evo.seed ^ 0x7319));
-    }
-    let extra_tp = backend.measure_batch_checked(&extra);
-    let bench_stats = backend.stats().since(&run_start);
-    for (e, t) in extra.into_iter().zip(extra_tp) {
-        measured.push(MeasuredExperiment::new(e, t));
-    }
-    let num_experiments = measured.len();
-
-    // Stage 3: congruence filtering.
-    let infer_start = Instant::now();
-    let partition = if config.congruence_filtering {
-        CongruencePartition::compute(&universe, &measured, config.epsilon)
-    } else {
-        CongruencePartition::identity(&universe)
+    let resume_from = config.checkpoint.as_ref().and_then(|c| c.resume_from.as_deref());
+    let mut state = match resume_from {
+        Some(snapshot) => {
+            assert_eq!(snapshot.num_insts, num_insts, "checkpoint instruction-universe mismatch");
+            assert_eq!(snapshot.num_ports, num_ports, "checkpoint port-count mismatch");
+            assert_eq!(snapshot.seed, config.evo.seed, "checkpoint seed mismatch");
+            assert_eq!(snapshot.islands, config.islands.count, "checkpoint island-count mismatch");
+            assert_eq!(
+                snapshot.population_size as usize, config.evo.population_size,
+                "checkpoint population-size mismatch"
+            );
+            assert_eq!(snapshot.selection, config.selection, "checkpoint selection-policy mismatch");
+            assert_eq!(snapshot.budget, config.budget, "checkpoint budget mismatch");
+            snapshot.clone()
+        }
+        None => start_state(num_insts, num_ports, backend, config),
     };
+    // Accounting so far; the run charges its own measurements on top.
+    let prior = state.used;
+    let loop_start = backend.stats();
+
+    // The congruence classes (`rep_of[i]` = representative of `i`);
+    // evolution runs on the representative universe `0..reps.len()`.
+    let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
+    let repr: BTreeMap<InstId, InstId> = state
+        .rep_of
+        .iter()
+        .enumerate()
+        .filter(|&(i, &r)| r != i as u32)
+        .map(|(i, &r)| (InstId(i as u32), InstId(r)))
+        .collect();
+    let partition = CongruencePartition::from_representatives(&universe, repr);
     let reps = partition.representatives().to_vec();
     let rep_index: BTreeMap<InstId, u32> = reps
         .iter()
         .enumerate()
         .map(|(k, &id)| (id, k as u32))
         .collect();
+    let rep_indiv: Vec<f64> = reps.iter().map(|&id| state.indiv_tp[id.index()]).collect();
 
-    // Keep only experiments entirely over representatives; remap ids to
-    // the compact representative universe 0..k.
-    let rep_measured: Vec<MeasuredExperiment> = measured
-        .iter()
-        .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-        .map(|me| {
-            let exp = me.experiment.map_insts(|i| InstId(rep_index[&i]));
-            MeasuredExperiment::new(exp, me.throughput)
-        })
-        .collect();
-    let rep_indiv: Vec<f64> = reps
-        .iter()
-        .map(|&id| {
-            measured
-                .iter()
-                .find(|me| me.experiment.counts() == [(id, 1)])
-                .expect("singleton measured for every representative")
-                .throughput
-        })
-        .collect();
-
-    // Stage 4: evolutionary optimization on the representative universe
-    // (one island is the paper's classic loop, bit for bit).
-    let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        CheckpointWriter::new(
-            cfg,
-            checkpoint_template(num_insts, num_ports, config, &indiv_tp, &partition),
-        )
-    });
-    // One-shot checkpoints carry the whole corpus and its single round
-    // (training error still unknown), so a resume skips all measurement.
-    let checkpoint_rounds = vec![RoundStats::from_delta(
-        0,
-        &bench_stats,
-        bench_stats.measurements_performed,
-        f64::INFINITY,
-    )];
-    let evo_result = {
-        let mut observe;
-        let observer: Option<IslandObserver<'_>> = match writer.as_mut() {
-            Some(w) => {
-                observe = |state: &EvoState| {
-                    w.on_state(&CheckpointEvent {
-                        phase: CheckpointPhase::OneShot,
-                        evo: Some(state),
-                        measured: &measured,
-                        rounds: &checkpoint_rounds,
-                        round_mappings: &[],
-                        pool: &[],
-                        stream_taken: 0,
-                        used: bench_stats,
-                    })
-                };
-                Some(&mut observe)
-            }
-            None => None,
-        };
-        evolve_islands(
-            reps.len(),
+    let mut writer = config.checkpoint.as_ref().map(CheckpointWriter::new);
+    let evo = if config.selection.is_adaptive() {
+        run_adaptive(
+            &reps,
             num_ports,
-            &rep_measured,
             &rep_indiv,
-            &config.evo,
-            &config.islands,
-            IslandStart::Fresh(Vec::new()),
-            true,
-            observer,
+            backend,
+            config,
+            &mut state,
+            &loop_start,
+            writer.as_mut(),
         )
-        .result
+    } else {
+        // One-shot (paper Figure 5): a single evolution run over the
+        // experiments entirely over representatives, remapped to the
+        // representative universe (one island is the paper's classic
+        // loop, bit for bit).
+        let rep_measured: Vec<MeasuredExperiment> = state
+            .measured
+            .iter()
+            .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
+            .map(|me| {
+                let exp = me.experiment.map_insts(|i| InstId(rep_index[&i]));
+                MeasuredExperiment::new(exp, me.throughput)
+            })
+            .collect();
+        let start = match state.evo.take() {
+            Some(cp) => IslandStart::Resume(EvoState::from_checkpoint(&cp)),
+            None => IslandStart::Fresh(Vec::new()),
+        };
+        let evo = {
+            let mut observe = writer.as_mut().map(|w| w.observer(&state));
+            evolve_islands(
+                reps.len(),
+                num_ports,
+                &rep_measured,
+                &rep_indiv,
+                &config.evo,
+                &config.islands,
+                start,
+                true,
+                observe.as_mut().map(|f| f as IslandObserver<'_>),
+            )
+            .result
+        };
+        state.rounds[0].training_error = evo.objectives.error;
+        state.round_mappings.push(evo.mapping.clone());
+        evo
     };
 
-    // Expand the representative mapping back to the full universe.
-    let mapping = expand_mapping(&universe, &partition, &rep_index, &evo_result.mapping, num_ports);
-    let inference_time = infer_start.elapsed();
-
-    let rounds = vec![RoundStats::from_delta(
-        0,
-        &bench_stats,
-        bench_stats.measurements_performed,
-        evo_result.objectives.error,
-    )];
+    // Expand the representative mappings back to the full universe.
+    // Inference time is everything this process did not spend measuring.
+    let used = prior.plus(&backend.stats().since(&loop_start));
+    let measured_here = backend.stats().since(&run_start).measurement_time;
+    let expand = |dense: &ThreeLevelMapping| {
+        expand_mapping(&universe, &partition, &rep_index, dense, num_ports)
+    };
     PipelineResult {
-        round_mappings: vec![mapping.clone()],
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
-        inference_time,
-        measurements_performed: bench_stats.measurements_performed,
+        mapping: expand(&evo.mapping),
+        benchmarking_time: used.measurement_time,
+        inference_time: wall_start.elapsed().saturating_sub(measured_here),
+        measurements_performed: used.measurements_performed,
         congruent_fraction: partition.merged_fraction(),
         num_classes: partition.num_classes(),
-        num_experiments,
-        rounds,
-        evo: evo_result,
+        num_experiments: state.measured.len(),
+        rounds: state.rounds,
+        round_mappings: state.round_mappings.iter().map(expand).collect(),
+        evo,
+    }
+}
+
+/// Measures a fresh run until evolution can start and packs the result
+/// into its start state, phase [`CheckpointPhase::OneShot`] or
+/// [`CheckpointPhase::Round`]`(0)`, with no evolution state.
+///
+/// Both policies start with the singleton sweep. One-shot then measures
+/// the full pair corpus (plus any extra triples) and partitions it; the
+/// round-based policies seed their classes by pairwise verification
+/// under the budget and keep only the experiments entirely over
+/// representatives (a merged candidate's measurements are paid for but
+/// train nothing — its representative carries the class).
+pub(crate) fn start_state(
+    num_insts: usize,
+    num_ports: usize,
+    backend: &mut dyn MeasurementBackend,
+    config: &PipelineConfig,
+) -> SessionCheckpoint {
+    let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
+    let generator = ExperimentGenerator::new(universe.clone());
+    let run_start: BackendStats = backend.stats();
+
+    // The singleton sweep — the seed corpus of every policy. Cost is
+    // accounted by the backend itself, so deduplicated measurements are
+    // not double-counted.
+    let singletons = generator.singletons();
+    let indiv_tp = backend.measure_batch_checked(&singletons);
+    let mut measured: Vec<MeasuredExperiment> = singletons
+        .into_iter()
+        .zip(indiv_tp.iter().copied())
+        .map(|(e, t)| MeasuredExperiment::new(e, t))
+        .collect();
+
+    let (partition, phase) = if config.selection.is_adaptive() {
+        // The paper's partition needs the full pair corpus — exactly
+        // what the budget avoids — and merging from singleton
+        // throughputs alone would conflate port-disjoint forms. Verified
+        // seeding buys the class structure with one targeted pair
+        // measurement per candidate, clamped to whatever the mandatory
+        // singleton sweep left of the budget (like the round loop clamps
+        // its top-k submissions).
+        let seed_used = backend.stats().since(&run_start);
+        let (partition, verification) =
+            if config.congruence_filtering && !config.budget.is_exhausted(&seed_used) {
+                verified_congruence_seed(
+                    &universe,
+                    &indiv_tp,
+                    backend,
+                    config.epsilon,
+                    config.budget.remaining_measurements(&seed_used),
+                )
+            } else {
+                (CongruencePartition::identity(&universe), Vec::new())
+            };
+        measured.extend(verification);
+        measured.retain(|me| me.experiment.iter().all(|(i, _)| partition.representative(i) == i));
+        (partition, CheckpointPhase::Round(0))
+    } else {
+        let mut extra = generator.pairs(&indiv_tp);
+        if config.extra_triples > 0 {
+            extra.extend(generator.triples(config.extra_triples, config.evo.seed ^ 0x7319));
+        }
+        let extra_tp = backend.measure_batch_checked(&extra);
+        for (e, t) in extra.into_iter().zip(extra_tp) {
+            measured.push(MeasuredExperiment::new(e, t));
+        }
+        let partition = if config.congruence_filtering {
+            CongruencePartition::compute(&universe, &measured, config.epsilon)
+        } else {
+            CongruencePartition::identity(&universe)
+        };
+        (partition, CheckpointPhase::OneShot)
+    };
+
+    let used = backend.stats().since(&run_start);
+    SessionCheckpoint {
+        seed: config.evo.seed,
+        num_insts,
+        num_ports,
+        islands: config.islands.count,
+        population_size: config.evo.population_size as u64,
+        selection: config.selection,
+        budget: config.budget,
+        used,
+        indiv_tp,
+        rep_of: universe.iter().map(|&i| partition.representative(i).0).collect(),
+        measured,
+        // Training error is filled in once evolution has run.
+        rounds: vec![RoundStats::from_delta(
+            0,
+            &used,
+            used.measurements_performed,
+            f64::INFINITY,
+        )],
+        round_mappings: Vec::new(),
+        pool: Vec::new(),
+        stream_taken: 0,
+        phase,
+        evo: None,
     }
 }
 
@@ -509,303 +554,6 @@ fn verified_congruence_seed(
         CongruencePartition::from_representatives(universe, repr),
         verification,
     )
-}
-
-/// The round-based pipeline: pairwise-verified congruence seeding, then
-/// the interleaved measure→evolve loop of [`crate::selection`].
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_pipeline(
-    num_ports: usize,
-    universe: &[InstId],
-    measured_singletons: Vec<MeasuredExperiment>,
-    indiv_tp: &[f64],
-    backend: &mut dyn MeasurementBackend,
-    config: &PipelineConfig,
-    run_start: BackendStats,
-    wall_start: Instant,
-) -> PipelineResult {
-    // The paper's partition needs the full pair corpus — exactly what
-    // the budget avoids — and merging from singleton throughputs alone
-    // would conflate port-disjoint forms. Verified seeding buys the
-    // class structure with one targeted pair measurement per candidate,
-    // clamped to whatever the mandatory singleton sweep left of the
-    // budget (like the round loop clamps its top-k submissions).
-    let seed_used = backend.stats().since(&run_start);
-    let seeding_affordable = !config.budget.is_exhausted(&seed_used);
-    let (partition, verification) = if config.congruence_filtering && seeding_affordable {
-        verified_congruence_seed(
-            universe,
-            indiv_tp,
-            backend,
-            config.epsilon,
-            config.budget.remaining_measurements(&seed_used),
-        )
-    } else {
-        (CongruencePartition::identity(universe), Vec::new())
-    };
-    let reps = partition.representatives().to_vec();
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
-    let rep_indiv: Vec<f64> = reps.iter().map(|&id| indiv_tp[id.index()]).collect();
-    // The training seed: singleton sweep plus the verification pairs,
-    // restricted to experiments entirely over representatives (a merged
-    // candidate's measurements are paid for but train nothing — its
-    // representative carries the class).
-    let seed_measured: Vec<MeasuredExperiment> = measured_singletons
-        .into_iter()
-        .chain(verification)
-        .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-        .collect();
-
-    let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        CheckpointWriter::new(
-            cfg,
-            checkpoint_template(universe.len(), num_ports, config, indiv_tp, &partition),
-        )
-    });
-    let ctx = AdaptiveContext {
-        islands: config.islands,
-        hook: writer.as_mut().map(|w| w as &mut dyn CheckpointHook),
-        resume: None,
-        prior: BackendStats::default(),
-    };
-    let outcome = run_adaptive_with(
-        &reps,
-        num_ports,
-        &rep_indiv,
-        seed_measured,
-        backend,
-        config.selection,
-        &config.budget,
-        &config.adaptive,
-        &config.evo,
-        &run_start,
-        ctx,
-    );
-
-    let bench_stats = backend.stats().since(&run_start);
-    let mapping = expand_mapping(universe, &partition, &rep_index, &outcome.evo.mapping, num_ports);
-    let round_mappings: Vec<ThreeLevelMapping> = outcome
-        .round_mappings
-        .iter()
-        .map(|dense| expand_mapping(universe, &partition, &rep_index, dense, num_ports))
-        .collect();
-
-    PipelineResult {
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
-        // Measurement and inference interleave here, so inference time
-        // is everything that was not spent measuring.
-        inference_time: wall_start
-            .elapsed()
-            .saturating_sub(bench_stats.measurement_time),
-        measurements_performed: bench_stats.measurements_performed,
-        congruent_fraction: partition.merged_fraction(),
-        num_classes: partition.num_classes(),
-        num_experiments: outcome.measured.len(),
-        rounds: outcome.rounds,
-        round_mappings,
-        evo: outcome.evo,
-    }
-}
-
-/// Continues a checkpointed run. Nothing is re-measured: the corpus,
-/// singleton throughputs and congruence classes all come from the
-/// artifact, and budget accounting starts from the checkpoint's
-/// [`SessionCheckpoint::used`]. The resumed run's result is
-/// bit-identical to the uninterrupted run's (up to wall-clock timings).
-///
-/// # Panics
-///
-/// Panics when the checkpoint's header disagrees with the current
-/// configuration (universe size, port count, seed, islands, population
-/// size, selection policy, or budget).
-fn resume_run(
-    num_insts: usize,
-    num_ports: usize,
-    backend: &mut dyn MeasurementBackend,
-    config: &PipelineConfig,
-    snapshot: &SessionCheckpoint,
-) -> PipelineResult {
-    assert_eq!(snapshot.num_insts, num_insts, "checkpoint instruction-universe mismatch");
-    assert_eq!(snapshot.num_ports, num_ports, "checkpoint port-count mismatch");
-    assert_eq!(snapshot.seed, config.evo.seed, "checkpoint seed mismatch");
-    assert_eq!(snapshot.islands, config.islands.count, "checkpoint island-count mismatch");
-    assert_eq!(
-        snapshot.population_size as usize, config.evo.population_size,
-        "checkpoint population-size mismatch"
-    );
-    assert_eq!(snapshot.selection, config.selection, "checkpoint selection-policy mismatch");
-    assert_eq!(snapshot.budget, config.budget, "checkpoint budget mismatch");
-
-    let universe: Vec<InstId> = (0..num_insts as u32).map(InstId).collect();
-    let run_start: BackendStats = backend.stats();
-    let wall_start = Instant::now();
-    let prior = snapshot.used;
-
-    // Reconstruct the congruence partition from the stored class map.
-    let repr: BTreeMap<InstId, InstId> = snapshot
-        .rep_of
-        .iter()
-        .enumerate()
-        .filter(|&(i, &r)| r != i as u32)
-        .map(|(i, &r)| (InstId(i as u32), InstId(r)))
-        .collect();
-    let partition = CongruencePartition::from_representatives(&universe, repr);
-    let reps = partition.representatives().to_vec();
-    let rep_index: BTreeMap<InstId, u32> = reps
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k as u32))
-        .collect();
-    let rep_indiv: Vec<f64> = reps
-        .iter()
-        .map(|&id| snapshot.indiv_tp[id.index()])
-        .collect();
-
-    // Keep checkpointing the continued run through the same header.
-    let mut writer = config.checkpoint.as_ref().map(|cfg| {
-        let mut template = snapshot.clone();
-        template.used = BackendStats::default();
-        template.measured = Vec::new();
-        template.rounds = Vec::new();
-        template.round_mappings = Vec::new();
-        template.pool = Vec::new();
-        template.stream_taken = 0;
-        template.phase = CheckpointPhase::OneShot;
-        template.evo = None;
-        CheckpointWriter::new(cfg, template)
-    });
-
-    if snapshot.phase == CheckpointPhase::OneShot {
-        // --- One-shot resume: the corpus is fully measured; restart the
-        // evolution loop exactly where the checkpoint left it. ---
-        let num_experiments = snapshot.measured.len();
-        let rep_measured: Vec<MeasuredExperiment> = snapshot
-            .measured
-            .iter()
-            .filter(|me| me.experiment.iter().all(|(i, _)| rep_index.contains_key(&i)))
-            .map(|me| {
-                let exp = me.experiment.map_insts(|i| InstId(rep_index[&i]));
-                MeasuredExperiment::new(exp, me.throughput)
-            })
-            .collect();
-        let state = EvoState::from_checkpoint(
-            snapshot
-                .evo
-                .as_ref()
-                .expect("a one-shot checkpoint carries evolution state"),
-        );
-        let evo_result = {
-            let mut observe;
-            let observer: Option<IslandObserver<'_>> = match writer.as_mut() {
-                Some(w) => {
-                    observe = |state: &EvoState| {
-                        w.on_state(&CheckpointEvent {
-                            phase: CheckpointPhase::OneShot,
-                            evo: Some(state),
-                            measured: &snapshot.measured,
-                            rounds: &snapshot.rounds,
-                            round_mappings: &[],
-                            pool: &[],
-                            stream_taken: 0,
-                            used: prior,
-                        })
-                    };
-                    Some(&mut observe)
-                }
-                None => None,
-            };
-            evolve_islands(
-                reps.len(),
-                num_ports,
-                &rep_measured,
-                &rep_indiv,
-                &config.evo,
-                &config.islands,
-                IslandStart::Resume(state),
-                true,
-                observer,
-            )
-            .result
-        };
-        let bench_stats = prior.plus(&backend.stats().since(&run_start));
-        let mapping =
-            expand_mapping(&universe, &partition, &rep_index, &evo_result.mapping, num_ports);
-        let rounds = vec![RoundStats::from_delta(
-            0,
-            &bench_stats,
-            bench_stats.measurements_performed,
-            evo_result.objectives.error,
-        )];
-        return PipelineResult {
-            round_mappings: vec![mapping.clone()],
-            mapping,
-            benchmarking_time: bench_stats.measurement_time,
-            inference_time: wall_start.elapsed(),
-            measurements_performed: bench_stats.measurements_performed,
-            congruent_fraction: partition.merged_fraction(),
-            num_classes: partition.num_classes(),
-            num_experiments,
-            rounds,
-            evo: evo_result,
-        };
-    }
-
-    // --- Adaptive resume: re-enter the round loop mid-flight. ---
-    let resume = AdaptiveResume {
-        phase: snapshot.phase,
-        evo: snapshot.evo.clone(),
-        pool: snapshot.pool.clone(),
-        stream_taken: snapshot.stream_taken,
-        rounds: snapshot.rounds.clone(),
-        round_mappings: snapshot.round_mappings.clone(),
-    };
-    let ctx = AdaptiveContext {
-        islands: config.islands,
-        hook: writer.as_mut().map(|w| w as &mut dyn CheckpointHook),
-        resume: Some(resume),
-        prior,
-    };
-    let outcome = run_adaptive_with(
-        &reps,
-        num_ports,
-        &rep_indiv,
-        snapshot.measured.clone(),
-        backend,
-        config.selection,
-        &config.budget,
-        &config.adaptive,
-        &config.evo,
-        &run_start,
-        ctx,
-    );
-
-    let bench_stats = prior.plus(&backend.stats().since(&run_start));
-    let mapping = expand_mapping(&universe, &partition, &rep_index, &outcome.evo.mapping, num_ports);
-    let round_mappings: Vec<ThreeLevelMapping> = outcome
-        .round_mappings
-        .iter()
-        .map(|dense| expand_mapping(&universe, &partition, &rep_index, dense, num_ports))
-        .collect();
-
-    PipelineResult {
-        mapping,
-        benchmarking_time: bench_stats.measurement_time,
-        inference_time: wall_start
-            .elapsed()
-            .saturating_sub(bench_stats.measurement_time),
-        measurements_performed: bench_stats.measurements_performed,
-        congruent_fraction: partition.merged_fraction(),
-        num_classes: partition.num_classes(),
-        num_experiments: outcome.measured.len(),
-        rounds: outcome.rounds,
-        round_mappings,
-        evo: outcome.evo,
-    }
 }
 
 #[cfg(test)]

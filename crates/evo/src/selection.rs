@@ -11,15 +11,15 @@
 //! Each round:
 //!
 //! 1. **evolve** a few generations on everything measured so far
-//!    (warm-started from the previous round's population,
-//!    [`evolve_resumable`](crate::evolution::evolve_resumable));
+//!    (warm-started from the previous round's populations,
+//!    [`evolve_islands`]);
 //! 2. **score** a bounded pool of unmeasured candidates — pulled lazily
 //!    from [`ExperimentGenerator::candidates`] — by the variance of
 //!    their predicted throughput across the fittest population members
 //!    (the [`CompiledExperiments`]/[`ThroughputSolver`] batch path, so
 //!    scoring allocates nothing per candidate after warm-up);
 //! 3. **submit** the `top_k` most contested candidates to the
-//!    [`MeasurementBackend`], unless the [`MeasurementBudget`] is
+//!    [`MeasurementBackend`], unless the [`pmevo_core::MeasurementBudget`] is
 //!    exhausted.
 //!
 //! The loop is bit-deterministic: scoring is single-pass in fixed order,
@@ -28,10 +28,15 @@
 //! worker threads or backend batch chunking (enforced by
 //! `tests/proptest_selection.rs`).
 //!
+//! The loop's whole state — corpus, per-round accounting, candidate
+//! pool and stream cursor — lives in the run's checkpoint-shaped start
+//! state, which the loop advances in place. A fresh run enters at round
+//! 0; a resumed run enters wherever its checkpoint was taken.
+//!
 //! # Worked example
 //!
 //! Infer a 4-instruction toy machine under a 16-measurement budget,
-//! through the full pipeline (the usual entry point — it handles the
+//! through the full pipeline (the loop's entry point — it handles the
 //! singleton seed corpus and congruence filtering):
 //!
 //! ```
@@ -68,14 +73,12 @@
 use crate::evolution::{EvoConfig, EvoResult};
 use crate::expgen::ExperimentGenerator;
 use crate::fitness::Objectives;
-use crate::islands::{
-    evolve_islands, EvoState, Island, IslandConfig, IslandControl, IslandObserver, IslandStart,
-};
-use pmevo_core::checkpoint::{CheckpointPhase, EvoCheckpoint};
+use crate::islands::{evolve_islands, EvoState, Island, IslandControl, IslandObserver, IslandStart};
+use crate::pipeline::{CheckpointWriter, PipelineConfig};
+use pmevo_core::checkpoint::{CheckpointPhase, SessionCheckpoint};
 use pmevo_core::{
     BackendStats, CompiledExperiments, Experiment, InstId, MeasuredExperiment,
-    MeasurementBackend, MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping,
-    ThroughputSolver,
+    MeasurementBackend, RoundStats, SelectionPolicy, ThreeLevelMapping, ThroughputSolver,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,105 +116,6 @@ impl Default for AdaptiveTuning {
     }
 }
 
-/// Outcome of one [`run_adaptive`] loop, over the representative
-/// universe it was given.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// The final evolution result (after the full-configuration polish
-    /// run with local search), over the dense universe `0..reps.len()`.
-    pub evo: EvoResult,
-    /// Every measured experiment — seed corpus plus all submitted
-    /// rounds — in original instruction ids, in measurement order.
-    pub measured: Vec<MeasuredExperiment>,
-    /// Per-round accounting (round 0 is the seed corpus).
-    pub rounds: Vec<RoundStats>,
-    /// Best dense mapping at the end of each round, parallel to
-    /// [`rounds`](Self::rounds).
-    pub round_mappings: Vec<ThreeLevelMapping>,
-    /// Whether a [`CheckpointHook`] halted the run before it finished.
-    /// A halted outcome is valid but provisional: the last round's
-    /// mapping is the best individual at halt time, no polish ran, and
-    /// the run continues from the written checkpoint, not from this
-    /// value.
-    pub halted: bool,
-}
-
-/// A checkpointable boundary of the round-based loop: everything a
-/// [`CheckpointHook`] needs to persist a complete
-/// [`pmevo_core::checkpoint::SessionCheckpoint`].
-///
-/// Events fire after every evolution generation of every round (phase
-/// [`CheckpointPhase::Round`]) and once before the final polish (phase
-/// [`CheckpointPhase::PrePolish`], with `evo` holding the final round
-/// populations the polish warm-starts from).
-#[derive(Debug)]
-pub struct CheckpointEvent<'a> {
-    /// Where in the loop the event fires.
-    pub phase: CheckpointPhase,
-    /// The live evolution state at the boundary.
-    pub evo: Option<&'a EvoState>,
-    /// Every measured experiment so far, original ids, measurement order.
-    pub measured: &'a [MeasuredExperiment],
-    /// Per-round accounting so far (the in-flight round's training error
-    /// is still `+inf`).
-    pub rounds: &'a [RoundStats],
-    /// Best mapping per completed round.
-    pub round_mappings: &'a [ThreeLevelMapping],
-    /// The unmeasured candidate pool.
-    pub pool: &'a [Experiment],
-    /// Candidates the streaming generator has yielded so far.
-    pub stream_taken: u64,
-    /// Budget accounting at the boundary (prior process + this one).
-    pub used: BackendStats,
-}
-
-/// Observer of [`CheckpointEvent`]s — the seam the pipeline's checkpoint
-/// writer plugs into. Returning [`IslandControl::Halt`] stops the run at
-/// the boundary, which is how tests and `--halt-after-checkpoints`
-/// simulate a process kill.
-pub trait CheckpointHook {
-    /// Called at every checkpointable boundary.
-    fn on_state(&mut self, event: &CheckpointEvent<'_>) -> IslandControl;
-}
-
-/// Mid-run state to continue from, decoded from a checkpoint artifact.
-/// The restored run is bit-identical to the uninterrupted one.
-#[derive(Debug, Clone)]
-pub struct AdaptiveResume {
-    /// Where the checkpoint was taken.
-    pub phase: CheckpointPhase,
-    /// The evolution state at the boundary (required for
-    /// [`CheckpointPhase::Round`] and [`CheckpointPhase::PrePolish`]).
-    pub evo: Option<EvoCheckpoint>,
-    /// The candidate pool as checkpointed.
-    pub pool: Vec<Experiment>,
-    /// Stream cursor: candidates the generator had yielded.
-    pub stream_taken: u64,
-    /// Per-round accounting as checkpointed.
-    pub rounds: Vec<RoundStats>,
-    /// Best mapping per completed round as checkpointed.
-    pub round_mappings: Vec<ThreeLevelMapping>,
-}
-
-/// Extensions threaded through [`run_adaptive_with`]: island topology,
-/// the checkpoint observer, resume state, and cross-process budget
-/// accounting. [`run_adaptive`] uses the default (one island, no hook).
-#[derive(Default)]
-pub struct AdaptiveContext<'a> {
-    /// Island topology for every evolution segment.
-    pub islands: IslandConfig,
-    /// Checkpoint observer; `None` disables checkpointing.
-    pub hook: Option<&'a mut dyn CheckpointHook>,
-    /// Mid-run state to continue from; `None` starts fresh. On resume,
-    /// pass the checkpoint's measured corpus as `seed_measured` — the
-    /// loop re-measures nothing.
-    pub resume: Option<AdaptiveResume>,
-    /// Backend accounting carried over from the checkpointing process;
-    /// budget decisions use `prior + stats-since-run_start`, so a
-    /// resumed run spends exactly the budget the original had left.
-    pub prior: BackendStats,
-}
-
 /// Derives the per-segment evolution seed: rounds must not replay the
 /// identical recombination stream, but the derivation has to be a pure
 /// function of (base seed, round).
@@ -221,92 +125,57 @@ fn segment_seed(base: u64, round: u32) -> u64 {
 
 /// Runs the round-based measure→evolve loop over the representative
 /// universe `reps` (original instruction ids; dense position in `reps`
-/// is the id evolution sees).
+/// is the id evolution sees), from `state`, the run's start state.
 ///
-/// `seed_measured` is the already-measured seed corpus in original ids —
-/// at least one singleton per representative, matching `rep_indiv` —
-/// and `run_start` the backend-stats snapshot from before it was
-/// measured, so the seed corpus is charged against `budget`.
+/// `state.measured` is everything measured so far, in original ids and
+/// entirely over `reps` — at least the singletons matching `rep_indiv`.
+/// `state.used` is the accounting up to `loop_start`, the backend-stats
+/// snapshot this loop's measurements are charged from, so budget
+/// decisions see the whole run, across a restart too. Phase
+/// [`CheckpointPhase::Round`] starts that round — or continues it
+/// exactly, with the checkpointed evolution state — and
+/// [`CheckpointPhase::PrePolish`] goes straight to the final polish.
+/// Nothing is re-measured, so a resumed run is bit-identical to the
+/// uninterrupted one.
 ///
-/// The caller (normally [`crate::pipeline::run`]) owns congruence
-/// filtering and the expansion of dense mappings back to the full
-/// universe.
+/// The loop advances `state` in place (corpus, per-round accounting and
+/// best mappings, candidate pool, stream cursor, phase) and checkpoints
+/// it through `writer` after every generation and before the polish.
+/// It returns the final evolution result over the dense universe
+/// `0..reps.len()`; a run the writer halts returns the best individual
+/// at halt time, unpolished, and continues from the written checkpoint.
 ///
-/// # Panics
-///
-/// Panics if `policy` is not adaptive, inputs are inconsistent, or the
-/// backend misbehaves.
-#[allow(clippy::too_many_arguments)]
-pub fn run_adaptive(
-    reps: &[InstId],
-    num_ports: usize,
-    rep_indiv: &[f64],
-    seed_measured: Vec<MeasuredExperiment>,
-    backend: &mut dyn MeasurementBackend,
-    policy: SelectionPolicy,
-    budget: &MeasurementBudget,
-    tuning: &AdaptiveTuning,
-    evo_config: &EvoConfig,
-    run_start: &BackendStats,
-) -> AdaptiveOutcome {
-    run_adaptive_with(
-        reps,
-        num_ports,
-        rep_indiv,
-        seed_measured,
-        backend,
-        policy,
-        budget,
-        tuning,
-        evo_config,
-        run_start,
-        AdaptiveContext::default(),
-    )
-}
-
-/// [`run_adaptive`] with an explicit [`AdaptiveContext`]: island
-/// topology, checkpoint observation, and resume-from-checkpoint. With
-/// the default context this is exactly [`run_adaptive`], bit for bit.
-///
-/// On resume, pass the checkpoint's measured corpus as `seed_measured`
-/// and the backend-stats snapshot of the *new* process as `run_start`;
-/// the checkpoint's `used` accounting goes into
-/// [`AdaptiveContext::prior`]. Nothing is re-measured, so the resumed
-/// run's budget decisions and final outcome are bit-identical to the
-/// uninterrupted run's.
+/// The caller ([`crate::pipeline::run`]) owns congruence filtering and
+/// the expansion of dense mappings back to the full universe.
 ///
 /// # Panics
 ///
-/// As [`run_adaptive`]; additionally if the resume state is internally
-/// inconsistent (wrong phase, missing evolution state, stream cursor
-/// beyond the candidate stream).
+/// Panics if the policy is not round-based, `state` is inconsistent
+/// (wrong phase, missing evolution state before the polish, stream
+/// cursor beyond the candidate stream), or the backend misbehaves.
 #[allow(clippy::too_many_arguments)]
-pub fn run_adaptive_with(
+pub(crate) fn run_adaptive(
     reps: &[InstId],
     num_ports: usize,
     rep_indiv: &[f64],
-    seed_measured: Vec<MeasuredExperiment>,
     backend: &mut dyn MeasurementBackend,
-    policy: SelectionPolicy,
-    budget: &MeasurementBudget,
-    tuning: &AdaptiveTuning,
-    evo_config: &EvoConfig,
-    run_start: &BackendStats,
-    ctx: AdaptiveContext<'_>,
-) -> AdaptiveOutcome {
+    config: &PipelineConfig,
+    state: &mut SessionCheckpoint,
+    loop_start: &BackendStats,
+    mut writer: Option<&mut CheckpointWriter>,
+) -> EvoResult {
+    let (policy, budget, tuning, evo_config) =
+        (config.selection, &config.budget, &config.adaptive, &config.evo);
     let top_k = policy
         .top_k()
         .expect("run_adaptive needs a round-based selection policy");
     assert!(top_k >= 1, "selection policy must submit at least one experiment per round");
     assert_eq!(rep_indiv.len(), reps.len(), "individual-throughput table size mismatch");
-    assert!(!seed_measured.is_empty(), "empty seed corpus");
-
-    let AdaptiveContext {
-        islands: islands_cfg,
-        mut hook,
-        resume,
-        prior,
-    } = ctx;
+    assert!(!state.measured.is_empty(), "empty seed corpus");
+    assert!(!state.rounds.is_empty(), "start state without round stats");
+    let prior = state.used;
+    let used_now =
+        |backend: &dyn MeasurementBackend| prior.plus(&backend.stats().since(loop_start));
 
     let rep_index: BTreeMap<InstId, u32> = reps
         .iter()
@@ -315,10 +184,10 @@ pub fn run_adaptive_with(
         .collect();
     let to_dense = |e: &Experiment| e.map_insts(|i| InstId(rep_index[&i]));
 
-    let mut measured = seed_measured;
     let mut measured_set: BTreeSet<Experiment> =
-        measured.iter().map(|me| me.experiment.clone()).collect();
-    let mut dense_measured: Vec<MeasuredExperiment> = measured
+        state.measured.iter().map(|me| me.experiment.clone()).collect();
+    let mut dense_measured: Vec<MeasuredExperiment> = state
+        .measured
         .iter()
         .map(|me| MeasuredExperiment::new(to_dense(&me.experiment), me.throughput))
         .collect();
@@ -326,82 +195,48 @@ pub fn run_adaptive_with(
     // The streaming candidate source and its bounded pool.
     let generator = ExperimentGenerator::new(reps.to_vec());
     let mut stream = generator.candidates(rep_indiv);
+    for _ in 0..state.stream_taken {
+        stream
+            .next()
+            .expect("checkpointed stream cursor exceeds the candidate stream");
+    }
     let pool_target = top_k.max(1) * tuning.pool_factor.max(1);
 
-    let mut pool: Vec<Experiment>;
-    let mut stream_taken: u64;
-    let mut rounds: Vec<RoundStats>;
-    let mut round_mappings: Vec<ThreeLevelMapping>;
     // Per-island state carried between segments: populations warm-start
-    // the next segment (or the polish).
+    // the next segment (or the polish). A mid-round start state resumes
+    // the in-flight evolve segment exactly; later segments start fresh
+    // from the carried populations.
     let mut islands_state: Vec<Island> = Vec::new();
-    // A mid-round checkpoint resumes the in-flight evolve segment
-    // exactly; later segments start fresh from the carried populations.
     let mut pending_resume: Option<EvoState> = None;
-    let mut skip_rounds = false;
-
-    match resume {
-        None => {
-            pool = Vec::with_capacity(pool_target);
-            stream_taken = 0;
-            let seed_stats = backend.stats().since(run_start);
-            // Training error is overwritten after the first evolve segment.
-            rounds = vec![RoundStats::from_delta(
-                0,
-                &seed_stats,
-                seed_stats.measurements_performed,
-                f64::INFINITY,
-            )];
-            round_mappings = Vec::new();
+    let start_evo = state.evo.take().map(|cp| EvoState::from_checkpoint(&cp));
+    match state.phase {
+        CheckpointPhase::Round(_) => pending_resume = start_evo,
+        CheckpointPhase::PrePolish => {
+            islands_state = start_evo
+                .expect("a pre-polish checkpoint carries the final populations")
+                .islands;
         }
-        Some(r) => {
-            pool = r.pool;
-            stream_taken = r.stream_taken;
-            for _ in 0..stream_taken {
-                stream
-                    .next()
-                    .expect("checkpointed stream cursor exceeds the candidate stream");
-            }
-            rounds = r.rounds;
-            assert!(!rounds.is_empty(), "resumed round stats must not be empty");
-            round_mappings = r.round_mappings;
-            match r.phase {
-                CheckpointPhase::Round(_) => {
-                    let cp = r.evo.expect("a mid-round checkpoint carries evolution state");
-                    pending_resume = Some(EvoState::from_checkpoint(&cp));
-                }
-                CheckpointPhase::PrePolish => {
-                    let cp = r
-                        .evo
-                        .expect("a pre-polish checkpoint carries the final populations");
-                    islands_state = EvoState::from_checkpoint(&cp).islands;
-                    skip_rounds = true;
-                }
-                CheckpointPhase::OneShot => {
-                    panic!("one-shot checkpoints resume through the pipeline, not run_adaptive")
-                }
-            }
-        }
+        CheckpointPhase::OneShot => panic!("a one-shot start state cannot enter the round loop"),
     }
+    let skip_rounds = state.phase == CheckpointPhase::PrePolish;
 
     let mut solver = ThroughputSolver::new();
-    let mut halted = false;
 
-    // `skip_rounds` is fixed before the loop (a pre-polish resume has no
+    // `skip_rounds` is fixed before the loop (a pre-polish start has no
     // rounds left); each iteration exits via the `break`s below.
     loop {
         if skip_rounds {
             break;
         }
         // --- Evolve a short segment on everything measured so far. ---
-        let round = rounds.len() as u32 - 1;
+        let round = state.rounds.len() as u32 - 1;
         let segment_config = EvoConfig {
             max_generations: tuning.gens_per_round,
             seed: segment_seed(evo_config.seed, round),
             ..evo_config.clone()
         };
         let start = match pending_resume.take() {
-            Some(state) => IslandStart::Resume(state),
+            Some(resumed) => IslandStart::Resume(resumed),
             None => IslandStart::Fresh(
                 std::mem::take(&mut islands_state)
                     .into_iter()
@@ -411,76 +246,52 @@ pub fn run_adaptive_with(
         };
         // Budget accounting is frozen for the segment: evolution never
         // measures, so a snapshot taken here is exact for every
-        // checkpoint event inside the segment.
-        let used_now = prior.plus(&backend.stats().since(run_start));
+        // checkpoint written inside the segment.
+        state.used = used_now(backend);
+        state.phase = CheckpointPhase::Round(round);
         let segment = {
-            let mut obs_fn;
-            let observer: Option<IslandObserver<'_>> = match hook.as_mut() {
-                Some(h) => {
-                    let (measured_ref, rounds_ref, mappings_ref, pool_ref) =
-                        (&measured, &rounds, &round_mappings, &pool);
-                    obs_fn = move |state: &EvoState| {
-                        h.on_state(&CheckpointEvent {
-                            phase: CheckpointPhase::Round(round),
-                            evo: Some(state),
-                            measured: measured_ref,
-                            rounds: rounds_ref,
-                            round_mappings: mappings_ref,
-                            pool: pool_ref,
-                            stream_taken,
-                            used: used_now,
-                        })
-                    };
-                    Some(&mut obs_fn)
-                }
-                None => None,
-            };
+            let mut observe = writer.as_deref_mut().map(|w| w.observer(state));
             evolve_islands(
                 reps.len(),
                 num_ports,
                 &dense_measured,
                 rep_indiv,
                 &segment_config,
-                &islands_cfg,
+                &config.islands,
                 start,
                 false,
-                observer,
+                observe.as_mut().map(|f| f as IslandObserver<'_>),
             )
         };
-        let last = rounds.len() - 1;
-        rounds[last].training_error = segment.result.objectives.error;
-        round_mappings.push(segment.result.mapping.clone());
+        let last = state.rounds.len() - 1;
+        state.rounds[last].training_error = segment.result.objectives.error;
+        state.round_mappings.push(segment.result.mapping.clone());
         islands_state = segment.islands;
         if segment.halted {
-            // Simulated kill: return a valid provisional outcome; the
+            // Simulated kill: return a valid provisional result; the
             // run continues from the written checkpoint.
-            return AdaptiveOutcome {
-                evo: segment.result,
-                measured,
-                rounds,
-                round_mappings,
-                halted: true,
-            };
+            return segment.result;
         }
 
         // --- Stop when the budget, the round cap or the candidate
         //     stream is spent. ---
-        let used = prior.plus(&backend.stats().since(run_start));
+        let used = used_now(backend);
         if budget.is_exhausted(&used) || round >= tuning.max_rounds {
             break;
         }
-        while pool.len() < pool_target {
+        while state.pool.len() < pool_target {
             let Some(candidate) = stream.next() else { break };
-            stream_taken += 1;
+            state.stream_taken += 1;
             if !measured_set.contains(&candidate) {
-                pool.push(candidate);
+                state.pool.push(candidate);
             }
         }
-        if pool.is_empty() {
+        if state.pool.is_empty() {
             break;
         }
 
         // --- Score the pool and pick the round's submissions. ---
+        let pool = &mut state.pool;
         let scores = match policy {
             SelectionPolicy::Disagreement { .. } => {
                 // Concatenated island order: for one island this is the
@@ -494,7 +305,7 @@ pub fn run_adaptive_with(
                     .flat_map(|isl| isl.objectives.iter().copied())
                     .collect();
                 disagreement_scores(
-                    &pool,
+                    pool,
                     &to_dense,
                     &flat_pop,
                     &flat_obj,
@@ -535,65 +346,48 @@ pub fn run_adaptive_with(
         let before = backend.stats();
         let throughputs = backend.measure_batch_checked(&selected);
         let delta = backend.stats().since(&before);
-        let cumulative = prior
-            .plus(&backend.stats().since(run_start))
-            .measurements_performed;
+        let cumulative = used_now(backend).measurements_performed;
         for (e, t) in selected.into_iter().zip(throughputs) {
             measured_set.insert(e.clone());
             dense_measured.push(MeasuredExperiment::new(to_dense(&e), t));
-            measured.push(MeasuredExperiment::new(e, t));
+            state.measured.push(MeasuredExperiment::new(e, t));
         }
         // Training error is overwritten by the next evolve segment.
-        rounds.push(RoundStats::from_delta(round + 1, &delta, cumulative, f64::INFINITY));
+        state
+            .rounds
+            .push(RoundStats::from_delta(round + 1, &delta, cumulative, f64::INFINITY));
     }
 
     // --- Pre-polish checkpoint boundary: the populations the polish
     //     warm-starts from are the last state worth persisting (the
     //     polish itself re-runs deterministically on resume). ---
-    if let Some(h) = hook.as_mut() {
-        let state = EvoState {
+    state.used = used_now(backend);
+    state.phase = CheckpointPhase::PrePolish;
+    if let Some(w) = writer {
+        let populations = EvoState {
             islands: islands_state.clone(),
             generations: 0,
             history: Vec::new(),
             best_so_far: f64::INFINITY,
             stall: 0,
         };
-        let used_now = prior.plus(&backend.stats().since(run_start));
-        let control = h.on_state(&CheckpointEvent {
-            phase: CheckpointPhase::PrePolish,
-            evo: Some(&state),
-            measured: &measured,
-            rounds: &rounds,
-            round_mappings: &round_mappings,
-            pool: &pool,
-            stream_taken,
-            used: used_now,
-        });
-        if control == IslandControl::Halt {
-            halted = true;
-        }
-    }
-    if halted {
-        let mapping = round_mappings
-            .last()
-            .expect("at least one round evolved")
-            .clone();
-        let objectives = Objectives {
-            error: rounds[rounds.len() - 1].training_error,
-            volume: mapping.volume(),
-        };
-        return AdaptiveOutcome {
-            evo: EvoResult {
+        if w.on_state(state, &populations) == IslandControl::Halt {
+            let mapping = state
+                .round_mappings
+                .last()
+                .expect("at least one round evolved")
+                .clone();
+            let objectives = Objectives {
+                error: state.rounds[state.rounds.len() - 1].training_error,
+                volume: mapping.volume(),
+            };
+            return EvoResult {
                 mapping,
                 objectives,
                 generations: 0,
                 history: Vec::new(),
-            },
-            measured,
-            rounds,
-            round_mappings,
-            halted: true,
-        };
+            };
+        }
     }
 
     // --- Final polish: the full evolution configuration with local
@@ -617,7 +411,7 @@ pub fn run_adaptive_with(
         &dense_measured,
         rep_indiv,
         evo_config,
-        &islands_cfg,
+        &config.islands,
         IslandStart::Fresh(warm_seed),
         true,
         None,
@@ -628,7 +422,7 @@ pub fn run_adaptive_with(
         &dense_measured,
         rep_indiv,
         evo_config,
-        &islands_cfg,
+        &config.islands,
         IslandStart::Fresh(Vec::new()),
         true,
         None,
@@ -642,18 +436,11 @@ pub fn run_adaptive_with(
     } else {
         warm
     };
-    let last = rounds.len() - 1;
-    rounds[last].training_error = final_run.result.objectives.error;
-    *round_mappings.last_mut().expect("at least one round evolved") =
+    let last = state.rounds.len() - 1;
+    state.rounds[last].training_error = final_run.result.objectives.error;
+    *state.round_mappings.last_mut().expect("at least one round evolved") =
         final_run.result.mapping.clone();
-
-    AdaptiveOutcome {
-        evo: final_run.result,
-        measured,
-        rounds,
-        round_mappings,
-        halted: false,
-    }
+    final_run.result
 }
 
 /// Population-disagreement scores: for every pool candidate, the
@@ -711,7 +498,8 @@ fn disagreement_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmevo_core::{ModelBackend, PortSet, UopEntry};
+    use crate::pipeline::start_state;
+    use pmevo_core::{MeasurementBudget, ModelBackend, PortSet, UopEntry};
 
     fn uop(count: u32, ports: &[usize]) -> UopEntry {
         UopEntry::new(count, PortSet::from_ports(ports))
@@ -730,19 +518,30 @@ mod tests {
         )
     }
 
-    fn seed_corpus(
+    /// Runs the loop on the 5-form toy from a fresh start state (the
+    /// singleton sweep, every form its own class) and returns the
+    /// result with the final loop state.
+    fn run_loop(
         backend: &mut dyn MeasurementBackend,
-        n: u32,
-    ) -> (Vec<MeasuredExperiment>, Vec<f64>) {
-        let singletons: Vec<Experiment> =
-            (0..n).map(|i| Experiment::singleton(InstId(i))).collect();
-        let tp = backend.measure_batch_checked(&singletons);
-        let measured = singletons
-            .into_iter()
-            .zip(tp.iter().copied())
-            .map(|(e, t)| MeasuredExperiment::new(e, t))
-            .collect();
-        (measured, tp)
+        selection: SelectionPolicy,
+        budget: MeasurementBudget,
+        evo: EvoConfig,
+    ) -> (EvoResult, SessionCheckpoint) {
+        let config = PipelineConfig {
+            selection,
+            budget,
+            evo,
+            congruence_filtering: false,
+            ..PipelineConfig::default()
+        };
+        let mut state = start_state(5, 3, backend, &config);
+        let reps: Vec<InstId> = (0..5).map(InstId).collect();
+        let rep_indiv = state.indiv_tp.clone();
+        let loop_start = backend.stats();
+        let result = run_adaptive(
+            &reps, 3, &rep_indiv, backend, &config, &mut state, &loop_start, None,
+        );
+        (result, state)
     }
 
     fn small_evo(seed: u64) -> EvoConfig {
@@ -758,55 +557,38 @@ mod tests {
     #[test]
     fn budget_caps_real_measurements() {
         let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let reps: Vec<InstId> = (0..5).map(InstId).collect();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        let outcome = run_adaptive(
-            &reps,
-            3,
-            &tp,
-            seed,
+        let (_, state) = run_loop(
             &mut backend,
             SelectionPolicy::Disagreement { top_k: 2 },
-            &MeasurementBudget::measurements(9),
-            &AdaptiveTuning::default(),
-            &small_evo(7),
-            &run_start,
+            MeasurementBudget::measurements(9),
+            small_evo(7),
         );
         let performed = backend.stats().measurements_performed;
         assert!(performed <= 9 + 1, "budget overshot: {performed}");
-        assert!(outcome.rounds.len() >= 2);
-        assert_eq!(outcome.round_mappings.len(), outcome.rounds.len());
+        assert!(state.rounds.len() >= 2);
+        assert_eq!(state.round_mappings.len(), state.rounds.len());
         // Cumulative counts are monotone and end at the backend total.
-        for w in outcome.rounds.windows(2) {
+        for w in state.rounds.windows(2) {
             assert!(w[1].cumulative_measurements >= w[0].cumulative_measurements);
             assert_eq!(w[1].round, w[0].round + 1);
         }
         assert_eq!(
-            outcome.rounds.last().unwrap().cumulative_measurements,
+            state.rounds.last().unwrap().cumulative_measurements,
             performed
         );
-        assert_eq!(outcome.measured.len(), performed as usize);
+        assert_eq!(state.measured.len(), performed as usize);
         // Every training error was filled in.
-        assert!(outcome.rounds.iter().all(|r| r.training_error.is_finite()));
+        assert!(state.rounds.iter().all(|r| r.training_error.is_finite()));
     }
 
     #[test]
     fn unlimited_budget_drains_the_candidate_stream() {
         let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let reps: Vec<InstId> = (0..5).map(InstId).collect();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        let outcome = run_adaptive(
-            &reps,
-            3,
-            &tp,
-            seed,
+        let (result, state) = run_loop(
             &mut backend,
             SelectionPolicy::Disagreement { top_k: 4 },
-            &MeasurementBudget::UNLIMITED,
-            &AdaptiveTuning::default(),
-            &EvoConfig {
+            MeasurementBudget::UNLIMITED,
+            EvoConfig {
                 population_size: 60,
                 max_generations: 40,
                 stall_generations: 12,
@@ -816,18 +598,17 @@ mod tests {
                 seed: 5,
                 ..EvoConfig::default()
             },
-            &run_start,
         );
         // All pairs of the 5-instruction universe end up measured: the
         // loop stops on stream exhaustion, not on budget.
-        let generator = ExperimentGenerator::new(reps);
-        let all = generator.pairs(&tp).len() + 5;
-        assert_eq!(outcome.measured.len(), all);
+        let generator = ExperimentGenerator::new((0..5).map(InstId).collect());
+        let all = generator.pairs(&state.indiv_tp).len() + 5;
+        assert_eq!(state.measured.len(), all);
         // With everything measured the fit reaches the one-shot quality.
         assert!(
-            outcome.evo.objectives.error < 0.05,
+            result.objectives.error < 0.05,
             "adaptive error {}",
-            outcome.evo.objectives.error
+            result.objectives.error
         );
     }
 
@@ -835,48 +616,26 @@ mod tests {
     fn uniform_policy_differs_but_stays_deterministic() {
         let run = |policy| {
             let mut backend = ModelBackend::new(toy_ground_truth());
-            let run_start = backend.stats();
-            let reps: Vec<InstId> = (0..5).map(InstId).collect();
-            let (seed, tp) = seed_corpus(&mut backend, 5);
-            run_adaptive(
-                &reps,
-                3,
-                &tp,
-                seed,
-                &mut backend,
-                policy,
-                &MeasurementBudget::measurements(11),
-                &AdaptiveTuning::default(),
-                &small_evo(5),
-                &run_start,
-            )
+            run_loop(&mut backend, policy, MeasurementBudget::measurements(11), small_evo(5))
         };
-        let a = run(SelectionPolicy::Uniform { top_k: 2 });
-        let b = run(SelectionPolicy::Uniform { top_k: 2 });
-        assert_eq!(a.measured, b.measured);
-        assert_eq!(a.evo.mapping, b.evo.mapping);
-        let d = run(SelectionPolicy::Disagreement { top_k: 2 });
+        let (a, a_state) = run(SelectionPolicy::Uniform { top_k: 2 });
+        let (b, b_state) = run(SelectionPolicy::Uniform { top_k: 2 });
+        assert_eq!(a_state.measured, b_state.measured);
+        assert_eq!(a.mapping, b.mapping);
+        let (_, d_state) = run(SelectionPolicy::Disagreement { top_k: 2 });
         // Same budget, different policy: the measured sets diverge.
-        assert_ne!(a.measured, d.measured);
+        assert_ne!(a_state.measured, d_state.measured);
     }
 
     #[test]
     #[should_panic(expected = "round-based selection policy")]
     fn one_shot_policy_is_rejected() {
         let mut backend = ModelBackend::new(toy_ground_truth());
-        let run_start = backend.stats();
-        let (seed, tp) = seed_corpus(&mut backend, 5);
-        run_adaptive(
-            &(0..5).map(InstId).collect::<Vec<_>>(),
-            3,
-            &tp,
-            seed,
+        run_loop(
             &mut backend,
             SelectionPolicy::OneShot,
-            &MeasurementBudget::UNLIMITED,
-            &AdaptiveTuning::default(),
-            &small_evo(1),
-            &run_start,
+            MeasurementBudget::UNLIMITED,
+            small_evo(1),
         );
     }
 }

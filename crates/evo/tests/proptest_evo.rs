@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use pmevo_core::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping};
-use pmevo_evo::evolution::recombine_for_test;
+use pmevo_evo::evolution::recombine;
 use pmevo_evo::{CongruencePartition, ExperimentGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,7 +126,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (c1, c2) = recombine_for_test(&mut rng, &a, &b);
+        let (c1, c2) = recombine(&mut rng, &a, &b);
         for child in [&c1, &c2] {
             prop_assert_eq!(child.num_insts(), 6);
             prop_assert_eq!(child.num_ports(), 5);

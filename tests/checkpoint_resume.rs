@@ -12,6 +12,7 @@ use pmevo::core::{MeasurementBudget, SelectionPolicy};
 use pmevo::machine::platforms;
 use pmevo::{Session, SessionCheckpoint, SessionReport};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// Everything that parameterizes one inference run in these tests.
 #[derive(Clone, Copy)]
@@ -153,6 +154,25 @@ fn resume_does_not_re_measure() {
     let run = Run { seed: 3, islands: 2, workers: 2, adaptive: true };
     let (full, resumed) = kill_and_resume(run, &dir, "billing", 2);
     assert_eq!(resumed.measurements_performed, full.measurements_performed);
+}
+
+/// A resumed run reports the previous process's measurement time as
+/// benchmarking time, but its inference time is its own wall time minus
+/// its own measurement time — not minus the previous process's too.
+#[test]
+fn resumed_run_reports_its_own_inference_time() {
+    let hour = Duration::from_secs(3600);
+    for adaptive in [true, false] {
+        let dir = ScratchDir::new(&format!("inference_time_{adaptive}"));
+        let ck = dir.path("ck.json");
+        let run = Run { seed: 7, islands: 1, workers: 2, adaptive };
+        run_session(run, Some((&ck, 1, 3)), None);
+        let mut snapshot = SessionCheckpoint::load(&ck).expect("halted run wrote a checkpoint");
+        snapshot.used.measurement_time = hour;
+        let resumed = run_session(run, Some((&ck, 1, 0)), Some(snapshot));
+        assert!(resumed.inference_time > Duration::ZERO, "adaptive={adaptive}");
+        assert!(resumed.benchmarking_time >= hour, "adaptive={adaptive}");
+    }
 }
 
 proptest! {

@@ -110,11 +110,11 @@ fn oracle_outranks_mca_on_zen() {
 }
 
 // ---------------------------------------------------------------------------
-// Island-model evolution: a single island is the classic loop, and any
-// island count is invariant under the fitness-worker count.
+// Island-model evolution: any island count is invariant under the
+// fitness-worker count.
 
 use pmevo::core::{MeasuredExperiment, PortSet, ThreeLevelMapping, UopEntry};
-use pmevo::evo::{evolve_islands, evolve_resumable, EvoConfig, IslandConfig, IslandStart};
+use pmevo::evo::{evolve_islands, EvoConfig, IslandConfig, IslandStart};
 
 /// A deterministic toy ground truth plus training set (all singletons
 /// and pairs), parameterized by `seed` with plain arithmetic — every
@@ -168,27 +168,6 @@ proptest! {
     // Each case runs several full evolutions; keep the budget small
     // (PROPTEST_CASES only caps this downward).
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A single island IS the classic loop: `evolve_islands` with
-    /// `count = 1` reproduces `evolve_resumable` bit-for-bit — same
-    /// winner, same objectives, same history, same final population.
-    #[test]
-    fn one_island_is_the_classic_loop(seed in 0u64..10_000, pop in 8usize..20) {
-        let (training, indiv) = toy_training(seed, 5, 3);
-        let config = evo_config(seed, pop, 2);
-        let classic = evolve_resumable(5, 3, &training, &indiv, &config, Vec::new(), true);
-        let islands = evolve_islands(
-            5, 3, &training, &indiv, &config,
-            &IslandConfig::default(),
-            IslandStart::Fresh(Vec::new()), true, None,
-        );
-        prop_assert!(!islands.halted);
-        prop_assert_eq!(islands.islands.len(), 1);
-        prop_assert_eq!(&islands.result.mapping, &classic.result.mapping);
-        prop_assert_eq!(islands.result.objectives, classic.result.objectives);
-        prop_assert_eq!(&islands.result.history, &classic.result.history);
-        prop_assert_eq!(&islands.islands[0].population, &classic.population);
-    }
 
     /// For any island count, evolution is independent of the
     /// fitness-worker count: 1, 2 and 8 threads produce bit-identical
