@@ -12,6 +12,9 @@
 //! perform local search                  (hill climbing on µop counts)
 //! return fittest individual
 //! ```
+//!
+//! The loop itself runs in [`crate::islands::evolve_islands`]; this
+//! module holds its configuration, its operators and the local search.
 
 use crate::fitness::{FitnessEngine, Objectives};
 use pmevo_core::{InstId, ThreeLevelMapping, UopEntry};

@@ -270,7 +270,7 @@ fn expand_mapping(
 /// results, measurements are not positive and finite, or a resumed
 /// checkpoint's header disagrees with the configuration (universe
 /// size, port count, seed, islands, population size, selection policy,
-/// or budget).
+/// or budget) or carries no round stats.
 pub fn run(
     num_insts: usize,
     num_ports: usize,
@@ -293,6 +293,7 @@ pub fn run(
             );
             assert_eq!(snapshot.selection, config.selection, "checkpoint selection-policy mismatch");
             assert_eq!(snapshot.budget, config.budget, "checkpoint budget mismatch");
+            assert!(!snapshot.rounds.is_empty(), "checkpoint without round stats");
             snapshot.clone()
         }
         None => start_state(num_insts, num_ports, backend, config),

@@ -172,7 +172,6 @@ pub(crate) fn run_adaptive(
     assert!(top_k >= 1, "selection policy must submit at least one experiment per round");
     assert_eq!(rep_indiv.len(), reps.len(), "individual-throughput table size mismatch");
     assert!(!state.measured.is_empty(), "empty seed corpus");
-    assert!(!state.rounds.is_empty(), "start state without round stats");
     let prior = state.used;
     let used_now =
         |backend: &dyn MeasurementBackend| prior.plus(&backend.stats().since(loop_start));

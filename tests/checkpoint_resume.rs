@@ -257,7 +257,7 @@ fn write_golden_fixture(name: &str, out: &Path) {
 }
 
 /// The committed fixture is exactly what this build generates: the
-/// procedure below, written to a scratch path, reproduces it byte for
+/// procedure above, written to a scratch path, reproduces it byte for
 /// byte.
 #[test]
 fn golden_checkpoint_v1_regenerates_byte_for_byte() {

@@ -157,7 +157,12 @@ fn fresh_runs_match_the_golden_hashes() {
             let path = dir.path(&format!("{}_halt{writes}.json", tag(g)));
             run(g.policy, g.islands, &path, Some(writes), None);
             let phase = load_without_timings(&path).phase;
-            assert_eq!(phase, expected_phase(g.policy, writes), "{} halted at {writes}", tag(g));
+            assert_eq!(
+                phase,
+                expected_phase(g.policy, writes),
+                "{} halted at {writes}",
+                tag(g)
+            );
             *slot = checkpoint_hash(&path);
         }
         actual.push((g, report, checkpoint_hash(&last), halted));
@@ -180,7 +185,10 @@ fn fresh_runs_match_the_golden_hashes() {
     let matches = actual.iter().all(|(g, report, last, halted)| {
         *report == g.report && *last == g.last_checkpoint && *halted == g.halted
     });
-    assert!(matches, "pipeline output drifted; the hashes of this build are:\n{table}");
+    assert!(
+        matches,
+        "pipeline output drifted; the hashes of this build are:\n{table}"
+    );
 }
 
 #[test]
@@ -202,7 +210,12 @@ fn resumed_runs_reproduce_the_golden_hashes() {
             std::fs::copy(&start, &live).expect("copy checkpoint");
             let snapshot = SessionCheckpoint::load(&live).expect("checkpoint loads");
             let report = run(g.policy, g.islands, &live, None, Some(snapshot));
-            assert_eq!(report_hash(&report), g.report, "{} resumed from {name}", tag(g));
+            assert_eq!(
+                report_hash(&report),
+                g.report,
+                "{} resumed from {name}",
+                tag(g)
+            );
             assert_eq!(
                 checkpoint_hash(&live),
                 g.last_checkpoint,
