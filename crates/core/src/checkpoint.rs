@@ -130,8 +130,8 @@ pub struct SessionCheckpoint {
     pub stream_taken: u64,
     /// Where the run was when the checkpoint was taken.
     pub phase: CheckpointPhase,
-    /// Mid-segment evolution state (`None` only at phase boundaries
-    /// that carry their state elsewhere — today every phase stores it).
+    /// Mid-segment evolution state. `None` only in a run's start state,
+    /// before evolution has run; every written checkpoint stores it.
     pub evo: Option<EvoCheckpoint>,
 }
 
