@@ -217,16 +217,12 @@ pub(crate) fn run_adaptive(
         }
         CheckpointPhase::OneShot => panic!("a one-shot start state cannot enter the round loop"),
     }
-    let skip_rounds = state.phase == CheckpointPhase::PrePolish;
 
     let mut solver = ThroughputSolver::new();
 
-    // `skip_rounds` is fixed before the loop (a pre-polish start has no
-    // rounds left); each iteration exits via the `break`s below.
-    loop {
-        if skip_rounds {
-            break;
-        }
+    // A pre-polish start has no rounds left; any other start leaves the
+    // loop through the `break`s below (the phase stays `Round` inside).
+    while state.phase != CheckpointPhase::PrePolish {
         // --- Evolve a short segment on everything measured so far. ---
         let round = state.rounds.len() as u32 - 1;
         let segment_config = EvoConfig {
