@@ -318,14 +318,20 @@ fn union_closure_max(entries: &[(u32, f64)], k: usize, unions: &mut Vec<u32>) ->
 }
 
 /// The dense strategy's tail: runs the zeta (subset-sum) transform in
-/// place over `sum` — afterwards `sum[Q] = Σ { mass(u) | ports(u) ⊆ Q }`
-/// — and returns the best quotient via [`max_quotient`].
+/// place over `sum` and returns the best quotient via [`max_quotient`].
+pub(crate) fn zeta_and_max(sum: &mut [f64], k: usize) -> f64 {
+    zeta_transform(sum, k);
+    max_quotient(sum, k)
+}
+
+/// The zeta (subset-sum) transform in place over the `2^k` masks of
+/// `sum`: afterwards `sum[Q] = Σ { mass(u) | ports(u) ⊆ Q }`.
 ///
 /// The transform walks each bit's set-half in contiguous blocks
 /// (`sum[q..q + b] += sum[q - b..q]` element-wise), which performs the
 /// same additions in the same ascending-`q` order as the textbook masked
 /// loop but without a data-dependent branch per element.
-pub(crate) fn zeta_and_max(sum: &mut [f64], k: usize) -> f64 {
+pub(crate) fn zeta_transform(sum: &mut [f64], k: usize) {
     let size = 1usize << k;
     debug_assert_eq!(sum.len(), size);
     for bit in 0..k {
@@ -339,7 +345,6 @@ pub(crate) fn zeta_and_max(sum: &mut [f64], k: usize) -> f64 {
             q += b << 1;
         }
     }
-    max_quotient(sum, k)
 }
 
 /// Lane width of the batched zeta kernel: how many same-`k` experiments
@@ -419,7 +424,7 @@ fn max_quotient(sum: &[f64], k: usize) -> f64 {
 /// Shared tail of the per-size reduction: `max_c best_by_size[c] / c`
 /// over sizes `1..=k`. Every strategy funnels through this one function
 /// so the division/rounding behavior cannot drift between them.
-fn best_quotient(best_by_size: &[f64], k: usize) -> f64 {
+pub(crate) fn best_quotient(best_by_size: &[f64], k: usize) -> f64 {
     let mut best = 0.0f64;
     for (c, &s) in best_by_size.iter().enumerate().take(k + 1).skip(1) {
         let t = s / (c as f64);

@@ -19,13 +19,19 @@
 //! Both halves return **bit-identical** results to the naive reference
 //! path (`uop_masses` + `throughput_fast`): masses are accumulated in the
 //! same order with the same arithmetic, and the enumeration is literally
-//! the same function ([`kernel_from_compacted`]). The equivalence is
-//! enforced by unit tests here and a property test in `pmevo-evo`.
+//! the same function ([`kernel_from_compacted`]). The full-candidate
+//! entry point [`ThroughputSolver::predict_mapping`] may instead score
+//! every experiment from per-instruction subset-sum tables; there the
+//! bits match because every mass is an integer that is exact in `f64`
+//! (see `crate::factored`), not because of the addition order. The
+//! equivalence is enforced by unit tests here and a property test in
+//! `pmevo-evo`.
 
 use crate::bottleneck_impl::{
     choose_strategy, kernel_from_compacted, kernel_with_strategy, masses_kernel,
     zeta_and_max_lanes, MassVector, Strategy, LANES, MAX_ENUMERABLE_PORTS, MAX_LANE_PORTS,
 };
+use crate::factored::{exact_in_f64, SubsetTables, MAX_FACTORED_PORTS};
 use crate::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping, MAX_PORTS};
 
 /// A measured experiment set compiled into dense, flat index form.
@@ -73,6 +79,10 @@ pub struct CompiledExperiments {
     inst_offsets: Vec<u32>,
     /// Experiment indices per dense instruction, ascending.
     inst_exps: Vec<u32>,
+    /// The largest row count-sum `Σ_t n_t`: with the largest µop total
+    /// per instruction it bounds every subset mass (the exactness guard
+    /// of [`ThroughputSolver::predict_mapping`]).
+    max_row_weight: u64,
 }
 
 impl CompiledExperiments {
@@ -89,6 +99,7 @@ impl CompiledExperiments {
         let mut row_insts: Vec<u32> = Vec::new();
         let mut row_counts: Vec<f64> = Vec::new();
         let mut measured: Vec<f64> = Vec::with_capacity(experiments.len());
+        let mut max_row_weight = 0u64;
         row_offsets.push(0);
         for me in experiments {
             assert!(
@@ -97,7 +108,9 @@ impl CompiledExperiments {
                 me.throughput,
                 me.experiment
             );
+            let mut weight = 0u64;
             for (inst, n) in me.experiment.iter() {
+                weight += u64::from(n);
                 let slot = inst.index();
                 if slot >= dense_of.len() {
                     dense_of.resize(slot + 1, u32::MAX);
@@ -113,6 +126,7 @@ impl CompiledExperiments {
                 row_insts.push(dense);
                 row_counts.push(f64::from(n));
             }
+            max_row_weight = max_row_weight.max(weight);
             row_offsets.push(row_insts.len() as u32);
             measured.push(me.throughput);
         }
@@ -147,6 +161,7 @@ impl CompiledExperiments {
             measured,
             inst_offsets,
             inst_exps,
+            max_row_weight,
         }
     }
 
@@ -229,7 +244,7 @@ impl CompiledExperiments {
 /// every throughput computation and every fitness evaluation through this
 /// solver is free of heap allocations.
 ///
-/// The solver owns four kinds of scratch:
+/// The solver owns five kinds of scratch:
 ///
 /// * the kernel buffers (zeta-transform window and union table, grown to
 ///   the largest sizes seen),
@@ -237,7 +252,9 @@ impl CompiledExperiments {
 /// * a [`MassVector`] for the ad-hoc [`mapping_throughput`] path,
 /// * the *loaded mapping*: the candidate's µop decompositions flattened
 ///   into dense arrays, indexed by [`CompiledExperiments`] dense
-///   instruction indices (see [`load_mapping`]).
+///   instruction indices (see [`load_mapping`]),
+/// * the per-instruction subset-sum tables of the factored path of
+///   [`predict_mapping`].
 ///
 /// Mass aggregation in the compiled path does not build a
 /// [`MassVector`] of port sets — masses are compacted to dense masks on
@@ -250,6 +267,7 @@ impl CompiledExperiments {
 ///
 /// [`mapping_throughput`]: Self::mapping_throughput
 /// [`load_mapping`]: Self::load_mapping
+/// [`predict_mapping`]: Self::predict_mapping
 ///
 /// # Example
 ///
@@ -303,6 +321,8 @@ pub struct ThroughputSolver {
     /// Structure-of-arrays zeta plane: `lane_sum[q][l]` is subset `q`
     /// of the `l`-th experiment solving in lockstep.
     lane_sum: Vec<[f64; LANES]>,
+    /// Per-instruction subset-sum tables of the factored path.
+    tables: SubsetTables,
 }
 
 /// Above this many µop contributions per experiment, [`ThroughputSolver`]
@@ -681,6 +701,72 @@ impl ThroughputSolver {
         self.batch_indices = indices;
     }
 
+    /// Loads `mapping` (as [`load_mapping`](Self::load_mapping) does) and
+    /// predicts every compiled experiment under it into `out` (cleared
+    /// first, indexed by experiment) — bit-identical per slot to
+    /// [`predict_all`](Self::predict_all) after a load.
+    ///
+    /// This is the full-candidate entry point of the fitness loop. On
+    /// machines of up to 12 ports whose subset masses are provably exact
+    /// `f64` integers (the largest row count-sum times the largest
+    /// per-instruction µop total is at most `2^53`), it builds one
+    /// subset-sum table per instruction and scores every row from the
+    /// tables; integer sums below `2^53` are exact in any order, so the
+    /// bits match the per-experiment kernel. Otherwise it runs
+    /// [`predict_all`](Self::predict_all). Allocation-free after warm-up.
+    ///
+    /// # Panics
+    ///
+    /// As for [`load_mapping`](Self::load_mapping) and
+    /// [`predict`](Self::predict).
+    pub fn predict_mapping(
+        &mut self,
+        compiled: &CompiledExperiments,
+        mapping: &ThreeLevelMapping,
+        out: &mut Vec<f64>,
+    ) {
+        self.load_mapping(compiled, mapping);
+        let ports = mapping.num_ports();
+        if !self.factored_path_applies(compiled, ports) {
+            self.predict_all(compiled, out);
+            return;
+        }
+        self.tables
+            .build(ports, &self.dec_offsets, &self.dec_ports, &self.dec_counts);
+        out.clear();
+        for e in 0..compiled.num_experiments() {
+            let (lo, hi) = compiled.row_bounds(e);
+            out.push(
+                self.tables
+                    .predict_row(&compiled.row_insts[lo..hi], &compiled.row_counts[lo..hi]),
+            );
+        }
+    }
+
+    /// Whether [`predict_mapping`](Self::predict_mapping) may score the
+    /// loaded mapping over `ports` ports from subset-sum tables: not on
+    /// zero ports or more than [`MAX_FACTORED_PORTS`], and not when a
+    /// subset mass might not be an exact `f64` integer.
+    fn factored_path_applies(&self, compiled: &CompiledExperiments, ports: usize) -> bool {
+        if !(1..=MAX_FACTORED_PORTS).contains(&ports) {
+            return false;
+        }
+        // Loaded counts are `u32`s widened to `f64`, so the casts back
+        // are exact.
+        let max_uops = self
+            .dec_offsets
+            .windows(2)
+            .map(|w| {
+                self.dec_counts[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|&n| n as u64)
+                    .sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0);
+        exact_in_f64(compiled.max_row_weight, max_uops)
+    }
+
     /// The relative prediction error `|t*_m(e) − t| / t` of compiled
     /// experiment `e` under the loaded mapping.
     ///
@@ -693,7 +779,8 @@ impl ThroughputSolver {
         (predicted - t).abs() / t
     }
 
-    /// Computes `D_avg(m)` over the compiled set: loads `mapping` and
+    /// Computes `D_avg(m)` over the compiled set: predicts every
+    /// experiment through [`predict_mapping`](Self::predict_mapping) and
     /// averages the relative errors in experiment order — bit-identical
     /// to the naive reference (`average_relative_error` in `pmevo-evo`).
     ///
@@ -708,9 +795,8 @@ impl ThroughputSolver {
     ) -> f64 {
         let n = compiled.num_experiments();
         assert!(n > 0, "no experiments to evaluate");
-        self.load_mapping(compiled, mapping);
         let mut preds = std::mem::take(&mut self.batch_out);
-        self.predict_all(compiled, &mut preds);
+        self.predict_mapping(compiled, mapping, &mut preds);
         let mut sum = 0.0f64;
         for (e, &p) in preds.iter().enumerate() {
             let t = compiled.measured(e);
@@ -875,6 +961,61 @@ mod tests {
 
         // And back to the exact mapping: no stale loaded state.
         assert_eq!(solver.average_error(&compiled, &exact), 0.0);
+    }
+
+    /// A µop count and a row count near `u32::MAX` make masses near
+    /// `2^64`, which are not all exact `f64` integers: `predict_mapping`
+    /// must take the per-experiment path, whose additions follow the
+    /// reference order, and match the reference mean
+    /// (`average_relative_error`'s arithmetic) bit for bit.
+    #[test]
+    fn huge_counts_take_the_per_experiment_path_with_the_same_bits() {
+        // With these counts the first row's bottleneck {0, 1} rounds
+        // differently as `n·a + n·b` (the reference) and as `n·(a + b)`
+        // (a table sum), so only the guard keeps the bits.
+        let huge = ThreeLevelMapping::new(
+            3,
+            vec![
+                vec![
+                    uop(u32::MAX - 959_580, &[0]),
+                    uop(u32::MAX - 580_982, &[0, 1]),
+                ],
+                vec![uop(1, &[1, 2]), uop(5, &[2])],
+            ],
+        );
+        let data = vec![
+            MeasuredExperiment::new(
+                Experiment::from_counts(&[(InstId(0), u32::MAX - 693_980)]),
+                1.0,
+            ),
+            MeasuredExperiment::new(Experiment::pair(InstId(0), 1, InstId(1), u32::MAX), 2.0),
+            MeasuredExperiment::new(Experiment::singleton(InstId(1)), 0.5),
+        ];
+        let reference = |m: &ThreeLevelMapping| -> f64 {
+            let sum: f64 = data
+                .iter()
+                .map(|me| (m.throughput(&me.experiment) - me.throughput).abs() / me.throughput)
+                .sum();
+            sum / data.len() as f64
+        };
+        let compiled = CompiledExperiments::compile(&data);
+        let mut solver = ThroughputSolver::new();
+        solver.load_mapping(&compiled, &huge);
+        assert!(!solver.factored_path_applies(&compiled, 3));
+        assert_eq!(
+            solver.average_error(&compiled, &huge).to_bits(),
+            reference(&huge).to_bits()
+        );
+
+        // The same rows under small µop counts stay below 2^53 and take
+        // the factored path, with the reference bits too.
+        let small = figure4_mapping();
+        solver.load_mapping(&compiled, &small);
+        assert!(solver.factored_path_applies(&compiled, 3));
+        assert_eq!(
+            solver.average_error(&compiled, &small).to_bits(),
+            reference(&small).to_bits()
+        );
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod checkpoint;
 mod bottleneck_impl;
 mod eval;
 mod experiment;
+mod factored;
 mod infer;
 pub mod json;
 mod mapping;

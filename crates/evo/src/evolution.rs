@@ -88,19 +88,27 @@ pub fn recombine<R: Rng + ?Sized>(
     let n = a.num_insts();
     let mut da = Vec::with_capacity(n);
     let mut db = Vec::with_capacity(n);
+    // Item pool, one item per µop occurrence of either parent, and each
+    // item's side; both reused across instructions.
+    let mut items: Vec<UopEntry> = Vec::new();
+    let mut to_a: Vec<bool> = Vec::new();
     for i in 0..n {
         let id = InstId(i as u32);
-        // Item pool: one item per µop occurrence of either parent.
-        let mut items: Vec<UopEntry> = Vec::new();
+        items.clear();
         for e in a.decomposition(id).iter().chain(b.decomposition(id)) {
             for _ in 0..e.count {
                 items.push(UopEntry::new(1, e.ports));
             }
         }
-        let mut ca: Vec<UopEntry> = Vec::new();
-        let mut cb: Vec<UopEntry> = Vec::new();
-        for item in &items {
-            if rng.gen::<bool>() {
+        // Draw every side first (the draw order of one draw per item),
+        // so each child vector is allocated once at its final size.
+        to_a.clear();
+        to_a.extend(items.iter().map(|_| rng.gen::<bool>()));
+        let in_a = to_a.iter().filter(|&&side| side).count();
+        let mut ca: Vec<UopEntry> = Vec::with_capacity(in_a.max(1));
+        let mut cb: Vec<UopEntry> = Vec::with_capacity((items.len() - in_a).max(1));
+        for (item, &side) in items.iter().zip(&to_a) {
+            if side {
                 ca.push(*item);
             } else {
                 cb.push(*item);

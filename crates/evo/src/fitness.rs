@@ -352,11 +352,13 @@ impl FitnessEngine {
     /// Records the per-experiment errors of `mapping`, the starting point
     /// for delta re-evaluation.
     pub fn build_cache(&mut self, mapping: &ThreeLevelMapping) -> ErrorCache {
-        self.solver.load_mapping(&self.compiled, mapping);
-        self.delta_sync = DeltaSync::Synced { dirty: None };
         let n = self.compiled.num_experiments();
         let mut preds = std::mem::take(&mut self.batch_preds);
-        self.solver.predict_all(&self.compiled, &mut preds);
+        // `predict_mapping` leaves `mapping` loaded in the solver, the
+        // tables `try_update` patches.
+        self.solver
+            .predict_mapping(&self.compiled, mapping, &mut preds);
+        self.delta_sync = DeltaSync::Synced { dirty: None };
         let mut per_exp = Vec::with_capacity(n);
         for (e, &p) in preds.iter().enumerate() {
             let t = self.compiled.measured(e);

@@ -396,14 +396,17 @@ pub fn evolve_islands(
                     .expect("fitness values are finite")
             });
             order.truncate(p);
-            let mut new_pop = Vec::with_capacity(p);
-            let mut new_obj = Vec::with_capacity(p);
-            for idx in order {
-                new_pop.push(isl.population[idx].clone());
-                new_obj.push(isl.objectives[idx]);
-            }
-            isl.population = new_pop;
-            isl.objectives = new_obj;
+            // Move the survivors out of the pool; `order` holds distinct
+            // indices, so each is taken once.
+            let mut pool: Vec<Option<ThreeLevelMapping>> = std::mem::take(&mut isl.population)
+                .into_iter()
+                .map(Some)
+                .collect();
+            isl.population = order
+                .iter()
+                .map(|&idx| pool[idx].take().expect("survivor indices are distinct"))
+                .collect();
+            isl.objectives = order.iter().map(|&idx| isl.objectives[idx]).collect();
         }
         state.generations += 1;
 

@@ -442,9 +442,9 @@ pub(crate) fn run_adaptive(
 /// variance of its predicted throughput across the `ensemble` fittest
 /// population members.
 ///
-/// Predictions run through the compiled batch path — the pool is
-/// compiled once, each ensemble member's tables are loaded once, and
-/// every (member, candidate) prediction reuses the solver scratch.
+/// Predictions run through the compiled full-candidate path — the pool
+/// is compiled once, and each ensemble member predicts every candidate
+/// in one [`ThroughputSolver::predict_mapping`] call.
 /// Accumulation order is (candidate-major, member order fixed), so the
 /// scores are a pure function of the inputs.
 fn disagreement_scores(
@@ -476,10 +476,10 @@ fn disagreement_scores(
     let k = by_fitness.len() as f64;
     let mut sums = vec![0.0f64; pool.len()];
     let mut squares = vec![0.0f64; pool.len()];
+    let mut predicted = Vec::with_capacity(pool.len());
     for &member in &by_fitness {
-        solver.load_mapping(&compiled, population[member]);
-        for c in 0..pool.len() {
-            let t = solver.predict(&compiled, c);
+        solver.predict_mapping(&compiled, population[member], &mut predicted);
+        for (c, &t) in predicted.iter().enumerate() {
             sums[c] += t;
             squares[c] += t * t;
         }

@@ -1,6 +1,7 @@
 //! The fitness hot path performs **zero heap allocations per evaluation
-//! after warm-up** (ISSUE 2 acceptance criterion), verified with a
-//! counting global allocator.
+//! after warm-up**, verified with a counting global allocator, on a small
+//! 5-port set and on a 9-port, SKL-sized one that takes the factored
+//! subset-table path.
 //!
 //! The counter is a per-thread cell, so allocations by the libtest
 //! harness (which runs on its own threads) cannot leak into the measured
@@ -55,9 +56,28 @@ fn uop(count: u32, ports: &[usize]) -> UopEntry {
     UopEntry::new(count, PortSet::from_ports(ports))
 }
 
-/// An 6-instruction, 5-port ground truth with singleton + pair
+/// Singleton and pair experiments over every instruction of `gt`,
+/// labeled by its own predictions.
+fn labeled_experiments(gt: &ThreeLevelMapping) -> Vec<MeasuredExperiment> {
+    let n = gt.num_insts() as u32;
+    let mut exps = Vec::new();
+    for i in 0..n {
+        exps.push(Experiment::singleton(InstId(i)));
+        for j in (i + 1)..n {
+            exps.push(Experiment::pair(InstId(i), 2, InstId(j), 1));
+        }
+    }
+    exps.into_iter()
+        .map(|e| {
+            let t = gt.throughput(&e);
+            MeasuredExperiment::new(e, t)
+        })
+        .collect()
+}
+
+/// A 6-instruction, 5-port ground truth with singleton + pair
 /// experiments labeled by its own predictions.
-fn training_set() -> (ThreeLevelMapping, Vec<MeasuredExperiment>) {
+fn small_training_set() -> (ThreeLevelMapping, Vec<MeasuredExperiment>) {
     let gt = ThreeLevelMapping::new(
         5,
         vec![
@@ -69,38 +89,57 @@ fn training_set() -> (ThreeLevelMapping, Vec<MeasuredExperiment>) {
             vec![uop(1, &[0, 4]), uop(1, &[1, 2])],
         ],
     );
-    let n = gt.num_insts() as u32;
-    let mut exps = Vec::new();
-    for i in 0..n {
-        exps.push(Experiment::singleton(InstId(i)));
-        for j in (i + 1)..n {
-            exps.push(Experiment::pair(InstId(i), 2, InstId(j), 1));
-        }
-    }
-    let measured = exps
-        .into_iter()
-        .map(|e| {
-            let t = gt.throughput(&e);
-            MeasuredExperiment::new(e, t)
+    let measured = labeled_experiments(&gt);
+    (gt, measured)
+}
+
+/// A 9-port, SKL-sized training set: 30 instructions of 1–4 µop
+/// bundles each (deterministic pseudo-random port sets), 465 singleton
+/// and pair experiments — the shape the factored path serves.
+fn skl_sized_training_set() -> (ThreeLevelMapping, Vec<MeasuredExperiment>) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let decomp = (0..30)
+        .map(|_| {
+            let bundles = 1 + next() % 4;
+            (0..bundles)
+                .map(|_| {
+                    let mask = 1 + next() % 511;
+                    UopEntry::new(1 + (next() % 3) as u32, PortSet::from_mask(mask))
+                })
+                .collect()
         })
         .collect();
+    let gt = ThreeLevelMapping::new(9, decomp);
+    let measured = labeled_experiments(&gt);
     (gt, measured)
 }
 
 #[test]
 fn hot_path_is_allocation_free_after_warmup() {
-    let (gt, measured) = training_set();
+    for (gt, measured) in [small_training_set(), skl_sized_training_set()] {
+        assert_allocation_free(&gt, &measured);
+    }
+}
+
+fn assert_allocation_free(gt: &ThreeLevelMapping, measured: &[MeasuredExperiment]) {
     // Thread count 1: batch jobs and results travel over channels (one
     // node per *batch*, not per evaluation); the per-evaluation claim is
     // about the solver path, measured here on the calling thread.
-    let mut engine = FitnessEngine::new(&measured, 1);
+    let mut engine = FitnessEngine::new(measured, 1);
 
     let m1 = gt.clone();
     let mut m2 = gt.clone();
     m2.set_decomposition(InstId(0), vec![uop(2, &[0, 1]), uop(1, &[2])]);
 
     // Warm-up: grow every scratch buffer (zeta window, loaded-mapping
-    // tables, delta staging, error cache) to steady-state size.
+    // tables, subset-sum tables, delta staging, error cache) to
+    // steady-state size.
     for _ in 0..3 {
         engine.evaluate(&m1);
         engine.evaluate(&m2);
@@ -129,7 +168,8 @@ fn hot_path_is_allocation_free_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "fitness hot path allocated {} times across 256 evaluations",
-        after - before
+        "fitness hot path allocated {} times across 256 evaluations on {} ports",
+        after - before,
+        gt.num_ports()
     );
 }

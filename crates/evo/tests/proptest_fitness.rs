@@ -1,7 +1,15 @@
 //! Property tests: the compiled, batched and delta evaluation paths of
 //! [`FitnessEngine`] return **exactly** (bit-for-bit) the same
 //! [`Objectives`] as the naive [`average_relative_error`] reference, on
-//! random mappings and random experiment sets (ISSUE 2 satellite).
+//! random mappings and random experiment sets.
+//!
+//! The inputs span the machines the factored path serves and the ones it
+//! leaves to the per-experiment kernel: 1–16 ports (the factored path
+//! takes up to 12), 1–21 µop bundles per instruction with counts 1–30,
+//! and rows of 1–3 instructions with counts 1–100 (plain, ratio and
+//! triple experiments).
+//!
+//! CI runs this file on its own with `PROPTEST_CASES=2048`.
 
 use proptest::prelude::*;
 use pmevo_core::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping, UopEntry};
@@ -9,37 +17,41 @@ use pmevo_evo::{average_relative_error, FitnessEngine, Objectives};
 use std::sync::Arc;
 
 const NUM_INSTS: usize = 6;
-const NUM_PORTS: usize = 4;
+const MAX_PORTS: usize = 16;
 
-fn mapping_strategy() -> impl Strategy<Value = ThreeLevelMapping> {
-    proptest::collection::vec(
-        proptest::collection::vec((1u32..4, 1u64..(1 << NUM_PORTS)), 1..4),
-        NUM_INSTS,
-    )
-    .prop_map(|decomp| {
-        ThreeLevelMapping::new(
-            NUM_PORTS,
-            decomp
-                .into_iter()
-                .map(|entries| {
-                    entries
-                        .into_iter()
-                        .map(|(n, mask)| UopEntry::new(n, PortSet::from_mask(mask)))
-                        .collect()
-                })
-                .collect(),
-        )
+/// Case budget: 2048 in release, where CI runs this file on its own,
+/// and 128 in debug, where it runs inside the whole suite (CI's
+/// `PROPTEST_CASES` caps both).
+const CASES: u32 = if cfg!(debug_assertions) { 128 } else { 2048 };
+
+/// One instruction's decomposition over `ports` ports: 1–21 bundles,
+/// each of 1–30 µops on a random non-empty port set.
+fn decomposition_strategy(ports: usize) -> impl Strategy<Value = Vec<UopEntry>> {
+    proptest::collection::vec((1u32..=30, 1u64..(1 << ports)), 1..=21).prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(n, mask)| UopEntry::new(n, PortSet::from_mask(mask)))
+            .collect()
     })
+}
+
+fn mapping_strategy(ports: usize) -> impl Strategy<Value = ThreeLevelMapping> {
+    proptest::collection::vec(decomposition_strategy(ports), NUM_INSTS)
+        .prop_map(move |decomp| ThreeLevelMapping::new(ports, decomp))
+}
+
+fn ports_strategy() -> impl Strategy<Value = usize> {
+    1..=MAX_PORTS
 }
 
 /// Random non-empty measured experiment sets over the instruction
 /// universe, with positive measured throughputs unrelated to any mapping
 /// (the equivalence must hold for arbitrary labels, not just consistent
-/// ones).
+/// ones). A row draws 1–3 terms; repeated instructions merge.
 fn experiments_strategy() -> impl Strategy<Value = Vec<MeasuredExperiment>> {
     proptest::collection::vec(
         (
-            proptest::collection::vec((0u32..NUM_INSTS as u32, 1u32..4), 1..4),
+            proptest::collection::vec((0u32..NUM_INSTS as u32, 1u32..=100), 1..=3),
             0.25..8.0f64,
         ),
         1..20,
@@ -63,16 +75,13 @@ fn reference(mapping: &ThreeLevelMapping, experiments: &[MeasuredExperiment]) ->
 }
 
 proptest! {
-    // Case budget: engine construction is cheap at thread count 1–2, so
-    // the workspace-wide cap of 128 cases per property holds here too
-    // (override with PROPTEST_CASES).
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Single evaluation through the engine's compiled path is exactly
-    /// the naive reference.
+    /// Single evaluation and the delta cache's mean, through the
+    /// engine's full-candidate path, are exactly the naive reference.
     #[test]
     fn engine_evaluate_is_bit_identical_to_reference(
-        m in mapping_strategy(),
+        m in ports_strategy().prop_flat_map(mapping_strategy),
         exps in experiments_strategy(),
     ) {
         let mut engine = FitnessEngine::new(&exps, 1);
@@ -83,23 +92,27 @@ proptest! {
         // Scratch reuse across candidates must not change anything.
         let again = engine.evaluate(&m);
         prop_assert_eq!(again.error.to_bits(), want.error.to_bits());
+        let cache = engine.build_cache(&m);
+        prop_assert_eq!(cache.mean_error().to_bits(), want.error.to_bits());
     }
 
-    /// Batched evaluation over the worker pool equals the reference for
-    /// every candidate, in order.
+    /// Batched evaluation on one thread and over the worker pool equals
+    /// the reference for every candidate, in order.
     #[test]
     fn batch_evaluation_is_bit_identical_to_reference(
-        ms in proptest::collection::vec(mapping_strategy(), 1..6),
+        ms in ports_strategy()
+            .prop_flat_map(|ports| proptest::collection::vec(mapping_strategy(ports), 1..6)),
         exps in experiments_strategy(),
     ) {
-        let mut engine = FitnessEngine::new(&exps, 2);
         let batch = Arc::new(ms);
-        let got = engine.evaluate_batch(&batch);
-        prop_assert_eq!(got.len(), batch.len());
-        for (m, o) in batch.iter().zip(&got) {
-            let want = reference(m, &exps);
-            prop_assert_eq!(o.error.to_bits(), want.error.to_bits());
-            prop_assert_eq!(o.volume, want.volume);
+        let want: Vec<Objectives> = batch.iter().map(|m| reference(m, &exps)).collect();
+        for threads in [1, 2] {
+            let got = FitnessEngine::new(&exps, threads).evaluate_batch(&batch);
+            prop_assert_eq!(got.len(), batch.len());
+            for (o, w) in got.iter().zip(&want) {
+                prop_assert_eq!(o.error.to_bits(), w.error.to_bits());
+                prop_assert_eq!(o.volume, w.volume);
+            }
         }
     }
 
@@ -108,8 +121,8 @@ proptest! {
     /// the cache agree with it.
     #[test]
     fn delta_update_is_bit_identical_to_reference(
-        m in mapping_strategy(),
-        new_decomp in proptest::collection::vec((1u32..4, 1u64..(1 << NUM_PORTS)), 1..4),
+        (m, new_decomp) in ports_strategy()
+            .prop_flat_map(|ports| (mapping_strategy(ports), decomposition_strategy(ports))),
         changed_idx in 0..NUM_INSTS as u32,
         exps in experiments_strategy(),
     ) {
@@ -119,13 +132,7 @@ proptest! {
 
         let changed = InstId(changed_idx);
         let mut mutated = m.clone();
-        mutated.set_decomposition(
-            changed,
-            new_decomp
-                .into_iter()
-                .map(|(n, mask)| UopEntry::new(n, PortSet::from_mask(mask)))
-                .collect(),
-        );
+        mutated.set_decomposition(changed, new_decomp);
         let got = engine.try_update(&mutated, &cache, changed);
         let want = reference(&mutated, &exps);
         prop_assert_eq!(got.error.to_bits(), want.error.to_bits());
