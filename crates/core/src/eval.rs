@@ -711,7 +711,7 @@ impl ThroughputSolver {
     /// `f64` integers (the largest row count-sum times the largest
     /// per-instruction µop total is at most `2^53`), it builds one
     /// subset-sum table per instruction and scores every row from the
-    /// tables; integer sums below `2^53` are exact in any order, so the
+    /// tables; integer sums up to `2^53` are exact in any order, so the
     /// bits match the per-experiment kernel. Otherwise it runs
     /// [`predict_all`](Self::predict_all). Allocation-free after warm-up.
     ///
@@ -1021,11 +1021,12 @@ mod tests {
     #[test]
     fn empty_decomposition_and_unused_instructions_are_handled() {
         // Instruction 1 never appears in the experiments; instruction 0's
-        // mapping may legally decompose to nothing after normalization.
-        let data = vec![MeasuredExperiment::new(
-            Experiment::singleton(InstId(0)),
-            2.0,
-        )];
+        // mapping may legally decompose to nothing after normalization,
+        // and an experiment may hold no instruction at all.
+        let data = vec![
+            MeasuredExperiment::new(Experiment::singleton(InstId(0)), 2.0),
+            MeasuredExperiment::new(Experiment::from_counts(&[]), 2.0),
+        ];
         let compiled = CompiledExperiments::compile(&data);
         let m = ThreeLevelMapping::new(2, vec![vec![], vec![uop(1, &[0])]]);
         let mut solver = ThroughputSolver::new();

@@ -20,8 +20,8 @@
 //! largest possible experiment mass fits in `2^53` (checked by the caller
 //! before it takes this path, see [`exact_in_f64`]), every one of those
 //! integers is exact in `f64` whatever the addition order, so each
-//! per-size maximum is the exact integer that the per-experiment kernel
-//! computes too, and both funnel through the same quotient tail. Subsets
+//! subset mass is the exact integer that the per-experiment kernel sums
+//! too, and both funnel through the same quotient tail. Subsets
 //! that include ports no µop of the experiment can use never raise the
 //! result: dropping those ports keeps the mass and shrinks `|Q|`, and
 //! rounded division is monotone. So every prediction has the bits of the
