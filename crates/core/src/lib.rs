@@ -18,6 +18,8 @@
 //!   compile-then-evaluate engine behind the evolutionary hot loop:
 //!   experiments compiled once into dense flat form, throughputs computed
 //!   with reusable scratch state and zero per-evaluation allocations.
+//! * [`pool`] — the ordered, chunked worker pool that every parallel
+//!   loop of the workspace runs on.
 //!
 //! # Example
 //!
@@ -50,6 +52,7 @@ mod factored;
 mod infer;
 pub mod json;
 mod mapping;
+pub mod pool;
 mod ports;
 mod predict;
 pub mod render;

@@ -17,7 +17,7 @@
 //! module holds its configuration, its operators and the local search.
 
 use crate::fitness::{FitnessEngine, Objectives};
-use pmevo_core::{InstId, ThreeLevelMapping, UopEntry};
+use pmevo_core::{pool, InstId, ThreeLevelMapping, UopEntry};
 use rand::Rng;
 
 /// Tunable parameters of the evolutionary algorithm.
@@ -53,9 +53,7 @@ impl Default for EvoConfig {
             convergence_tol: 1e-6,
             stall_generations: 8,
             mutation_rate: 0.0,
-            num_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            num_threads: pool::available_workers(),
             local_search_passes: 4,
             seed: 0x90AD,
         }

@@ -9,25 +9,23 @@
 //! Evaluation follows a compile-then-execute split (the "aggressive
 //! performance optimizations" of paper §4.5): [`FitnessEngine`] compiles
 //! the measured experiments once into the dense flat form of
-//! [`CompiledExperiments`], spawns its worker threads once, and reuses
-//! per-worker [`ThroughputSolver`] scratch across every generation of an
+//! [`CompiledExperiments`] and reuses one [`ThroughputSolver`] per worker
+//! thread, scratch buffers included, across every generation of an
 //! evolutionary run. [`average_relative_error`] remains as the naive
 //! reference implementation; the engine returns bit-identical values
 //! (enforced by the property tests in `tests/proptest_fitness.rs`).
 //!
-//! Batch results are returned in submission order and are a pure
+//! Batches run on the workspace's worker pool ([`pmevo_core::pool`]).
+//! Their results are returned in submission order and are a pure
 //! function of the inputs, independent of worker count and scheduling —
 //! which is what lets the island model ([`crate::islands`]) concatenate
-//! every island's children into one merged batch per generation: the
-//! engine is the shared pool, and the per-island results are recovered
-//! by slicing the batch, bit-identically for any worker count.
+//! every island's children into one merged batch per generation and
+//! recover the per-island results by slicing the batch, bit-identically
+//! for any worker count.
 
 use pmevo_core::{
-    CompiledExperiments, InstId, MeasuredExperiment, ThreeLevelMapping, ThroughputSolver,
+    pool, CompiledExperiments, InstId, MeasuredExperiment, ThreeLevelMapping, ThroughputSolver,
 };
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// The raw objective pair of one candidate mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,90 +78,14 @@ pub fn average_relative_error(
     sum / experiments.len() as f64
 }
 
-/// A unit of work for the persistent worker pool: evaluate
-/// `mappings[start..end]` and report the objectives back tagged with
-/// `start`, so the batch can be assembled deterministically regardless of
-/// worker scheduling.
-struct Job {
-    mappings: Arc<Vec<ThreeLevelMapping>>,
-    start: usize,
-    end: usize,
-}
-
-/// One chunk's outcome: the evaluated objectives, or the payload of a
-/// panic caught in the worker — re-raised on the calling thread so a
-/// failed evaluation surfaces exactly like the old scoped-thread
-/// `join().expect()` did instead of deadlocking the batch.
-type ChunkResult = (usize, std::thread::Result<Vec<Objectives>>);
-
-/// The persistent half of the engine: worker threads, the shared job
-/// queue they pull from, and the channel results come back on.
-struct Pool {
-    job_tx: Sender<Job>,
-    result_rx: Receiver<ChunkResult>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(num_threads: usize, compiled: &Arc<CompiledExperiments>) -> Pool {
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = channel();
-        let handles = (0..num_threads)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                let compiled = Arc::clone(compiled);
-                std::thread::spawn(move || {
-                    // Each worker owns its solver for the whole engine
-                    // lifetime — scratch buffers warm up once and are
-                    // reused across all batches of all generations.
-                    let mut solver = ThroughputSolver::new();
-                    loop {
-                        let job = job_rx.lock().expect("job queue poisoned").recv();
-                        let Ok(job) = job else { break };
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut out = Vec::with_capacity(job.end - job.start);
-                            for m in &job.mappings[job.start..job.end] {
-                                out.push(Objectives {
-                                    error: solver.average_error(&compiled, m),
-                                    volume: m.volume(),
-                                });
-                            }
-                            out
-                        }));
-                        let failed = result.is_err();
-                        let start = job.start;
-                        // Release the batch's Arc before signalling
-                        // completion, so the caller can reclaim unique
-                        // ownership once all results are in.
-                        drop(job);
-                        if result_tx.send((start, result)).is_err() || failed {
-                            // A caught panic is re-raised by the caller;
-                            // this worker retires rather than reuse
-                            // possibly half-updated solver scratch.
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        Pool {
-            job_tx,
-            result_rx,
-            handles,
-        }
-    }
-}
-
 /// Evaluates the objectives of candidate mappings against a compiled
-/// experiment set, with persistent worker threads and reusable solver
-/// state.
+/// experiment set, with one reusable solver per worker thread.
 ///
 /// Create one engine per inference run: construction compiles the
-/// experiments and (for `num_threads > 1`) spawns the worker pool; both
-/// then live across every generation and the final local search. Batch
-/// results are independent of the thread count and of worker scheduling.
+/// experiments once, and the solvers' scratch buffers stay warm across
+/// every generation and the final local search. Batches run on
+/// [`pmevo_core::pool`], whose threads live for one batch; results are
+/// independent of the thread count and of worker scheduling.
 ///
 /// The engine also drives **delta re-evaluation** for the hill climber:
 /// [`build_cache`](Self::build_cache) records per-experiment errors of a
@@ -173,21 +95,19 @@ impl Pool {
 /// evaluation of the mutated mapping.
 #[derive(Debug)]
 pub struct FitnessEngine {
-    compiled: Arc<CompiledExperiments>,
-    /// Calling-thread solver for single and delta evaluations.
-    solver: ThroughputSolver,
-    num_threads: usize,
-    pool: Option<Pool>,
+    compiled: CompiledExperiments,
+    /// One solver per worker thread. `solvers[0]` belongs to the calling
+    /// thread, which also serves single and delta evaluations.
+    solvers: Vec<ThroughputSolver>,
     /// Staged `(experiment, error)` updates of the last
     /// [`try_update`](Self::try_update), applied by
     /// [`commit_update`](Self::commit_update).
     pending: Vec<(u32, f64)>,
-    /// State of the calling-thread solver's loaded-mapping tables for the
-    /// delta path: `Synced { dirty }` after [`build_cache`] means the
-    /// tables match the hill climber's mapping except possibly at the
-    /// instruction(s) in `dirty` (the previous trial's mutation);
-    /// `Unsynced` after a full evaluation means [`try_update`] must
-    /// reload before patching.
+    /// State of `solvers[0]`'s loaded-mapping tables for the delta path:
+    /// `Synced { dirty }` after [`build_cache`] means the tables match
+    /// the hill climber's mapping except possibly at the instruction(s)
+    /// in `dirty` (the previous trial's mutation); `Unsynced` after a
+    /// full evaluation means [`try_update`] must reload before patching.
     ///
     /// [`build_cache`]: Self::build_cache
     /// [`try_update`]: Self::try_update
@@ -203,17 +123,8 @@ enum DeltaSync {
     Synced { dirty: Option<InstId> },
 }
 
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
 impl FitnessEngine {
-    /// Compiles the experiment set and (for `num_threads > 1`) spawns the
-    /// persistent worker pool.
+    /// Compiles the experiment set and creates one solver per thread.
     ///
     /// # Panics
     ///
@@ -222,13 +133,9 @@ impl FitnessEngine {
     pub fn new(experiments: &[MeasuredExperiment], num_threads: usize) -> Self {
         assert!(!experiments.is_empty(), "no experiments to evaluate");
         assert!(num_threads > 0, "need at least one thread");
-        let compiled = Arc::new(CompiledExperiments::compile(experiments));
-        let pool = (num_threads > 1).then(|| Pool::spawn(num_threads, &compiled));
         FitnessEngine {
-            compiled,
-            solver: ThroughputSolver::new(),
-            num_threads,
-            pool,
+            compiled: CompiledExperiments::compile(experiments),
+            solvers: vec![ThroughputSolver::new(); num_threads],
             pending: Vec::new(),
             delta_sync: DeltaSync::Unsynced,
             batch_preds: Vec::new(),
@@ -242,7 +149,7 @@ impl FitnessEngine {
 
     /// Number of worker threads used for batch evaluation.
     pub fn num_threads(&self) -> usize {
-        self.num_threads
+        self.solvers.len()
     }
 
     /// Evaluates one mapping on the calling thread (allocation-free after
@@ -252,101 +159,27 @@ impl FitnessEngine {
         // delta baseline previously established is gone.
         self.delta_sync = DeltaSync::Unsynced;
         Objectives {
-            error: self.solver.average_error(&self.compiled, mapping),
+            error: self.solvers[0].average_error(&self.compiled, mapping),
             volume: mapping.volume(),
         }
     }
 
-    /// Evaluates a batch of mappings across the worker pool.
-    ///
-    /// The batch is shared with the workers by reference counting — one
-    /// `Arc` clone per chunk, never a per-mapping or per-evaluation copy.
-    /// Results are in batch order and identical for every thread count.
-    pub fn evaluate_batch(&mut self, mappings: &Arc<Vec<ThreeLevelMapping>>) -> Vec<Objectives> {
-        let n = mappings.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.pool.is_none() || n == 1 {
-            let mut out = Vec::with_capacity(n);
-            for m in mappings.iter() {
-                out.push(self.evaluate(m));
-            }
-            return out;
-        }
-        let threads = self.num_threads.min(n);
-        let chunk = n.div_ceil(threads);
-        let pool = self.pool.as_ref().expect("pool checked above");
-        let mut jobs = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            pool.job_tx
-                .send(Job {
-                    mappings: Arc::clone(mappings),
-                    start,
-                    end,
+    /// Evaluates a batch of mappings across the worker threads. Results
+    /// are in batch order and identical for every thread count.
+    pub fn evaluate_batch(&mut self, mappings: &[ThreeLevelMapping]) -> Vec<Objectives> {
+        // The calling thread works through `solvers[0]` and reloads its
+        // tables.
+        self.delta_sync = DeltaSync::Unsynced;
+        let compiled = &self.compiled;
+        pool::map(&mut self.solvers, mappings.len(), |solver, range| {
+            mappings[range]
+                .iter()
+                .map(|m| Objectives {
+                    error: solver.average_error(compiled, m),
+                    volume: m.volume(),
                 })
-                .expect("fitness worker pool is alive");
-            jobs += 1;
-            start = end;
-        }
-        let mut out = vec![
-            Objectives {
-                error: 0.0,
-                volume: 0
-            };
-            n
-        ];
-        let mut panic_payload = None;
-        for _ in 0..jobs {
-            let (offset, result) = pool
-                .result_rx
-                .recv()
-                .expect("fitness worker pool is alive");
-            match result {
-                Ok(objectives) => {
-                    out[offset..offset + objectives.len()].copy_from_slice(&objectives);
-                }
-                Err(payload) => {
-                    panic_payload = Some(payload);
-                    break;
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            // Retire the pool before re-raising: the batch's remaining
-            // results are abandoned in flight, so a caller that catches
-            // this panic and evaluates again must not see them — without
-            // a pool, later batches take the (correct) sequential path.
-            self.shutdown_pool();
-            std::panic::resume_unwind(payload);
-        }
-        out
-    }
-
-    /// [`evaluate_batch`](Self::evaluate_batch) for an owned batch: wraps
-    /// it in an `Arc` for the workers and hands ownership back together
-    /// with the objectives.
-    pub fn evaluate_batch_owned(
-        &mut self,
-        mappings: Vec<ThreeLevelMapping>,
-    ) -> (Vec<ThreeLevelMapping>, Vec<Objectives>) {
-        let mut arc = Arc::new(mappings);
-        let objectives = self.evaluate_batch(&arc);
-        // All results are in, so the workers have dropped their clones
-        // (each drops before sending); spin-yield for the brief window in
-        // which a worker is still between `drop` and thread-local cleanup.
-        let mappings = loop {
-            match Arc::try_unwrap(arc) {
-                Ok(v) => break v,
-                Err(still_shared) => {
-                    arc = still_shared;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        (mappings, objectives)
+                .collect()
+        })
     }
 
     /// Records the per-experiment errors of `mapping`, the starting point
@@ -356,8 +189,7 @@ impl FitnessEngine {
         let mut preds = std::mem::take(&mut self.batch_preds);
         // `predict_mapping` leaves `mapping` loaded in the solver, the
         // tables `try_update` patches.
-        self.solver
-            .predict_mapping(&self.compiled, mapping, &mut preds);
+        self.solvers[0].predict_mapping(&self.compiled, mapping, &mut preds);
         self.delta_sync = DeltaSync::Synced { dirty: None };
         let mut per_exp = Vec::with_capacity(n);
         for (e, &p) in preds.iter().enumerate() {
@@ -399,19 +231,19 @@ impl FitnessEngine {
             // trial's instruction (now reverted or committed in
             // `mapping`) and `changed`, the tables equal a full reload.
             match self.delta_sync {
-                DeltaSync::Unsynced => self.solver.load_mapping(&self.compiled, mapping),
+                DeltaSync::Unsynced => self.solvers[0].load_mapping(&self.compiled, mapping),
                 DeltaSync::Synced { dirty } => {
                     if let Some(prev) = dirty.filter(|&prev| prev != changed) {
-                        self.solver.patch_instruction(&self.compiled, mapping, prev);
+                        self.solvers[0].patch_instruction(&self.compiled, mapping, prev);
                     }
-                    self.solver.patch_instruction(&self.compiled, mapping, changed);
+                    self.solvers[0].patch_instruction(&self.compiled, mapping, changed);
                 }
             }
             self.delta_sync = DeltaSync::Synced {
                 dirty: Some(changed),
             };
             let mut preds = std::mem::take(&mut self.batch_preds);
-            self.solver.predict_batch(&self.compiled, affected, &mut preds);
+            self.solvers[0].predict_batch(&self.compiled, affected, &mut preds);
             for (&e, &p) in affected.iter().zip(&preds) {
                 let t = self.compiled.measured(e as usize);
                 self.pending.push((e, (p - t).abs() / t));
@@ -455,26 +287,6 @@ impl FitnessEngine {
         }
         cache.mean = mean_in_order(&cache.per_exp);
         self.pending.clear();
-    }
-}
-
-impl FitnessEngine {
-    /// Closes the job channel (every worker's `recv` then fails, which is
-    /// their shutdown signal) and joins the workers.
-    fn shutdown_pool(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            drop(pool.job_tx);
-            drop(pool.result_rx);
-            for handle in pool.handles {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl Drop for FitnessEngine {
-    fn drop(&mut self) {
-        self.shutdown_pool();
     }
 }
 
@@ -588,7 +400,7 @@ mod tests {
         let ms: Vec<ThreeLevelMapping> = (1..=8)
             .map(|c| mapping(vec![vec![uop(c, &[0])]]))
             .collect();
-        let (ms, batch) = engine.evaluate_batch_owned(ms);
+        let batch = engine.evaluate_batch(&ms);
         for (m, o) in ms.iter().zip(&batch) {
             assert_eq!(engine.evaluate(m).error, o.error);
             assert_eq!(engine.evaluate(m).volume, o.volume);
@@ -606,11 +418,9 @@ mod tests {
                 MeasuredExperiment::new(Experiment::from_counts(&[(InstId(0), n)]), f64::from(n))
             })
             .collect();
-        let ms = Arc::new(
-            (1..=13)
-                .map(|c| mapping(vec![vec![uop(c, &[0, 1])]]))
-                .collect::<Vec<_>>(),
-        );
+        let ms: Vec<ThreeLevelMapping> = (1..=13)
+            .map(|c| mapping(vec![vec![uop(c, &[0, 1])]]))
+            .collect();
         let reference = FitnessEngine::new(&exps, 1).evaluate_batch(&ms);
         for threads in [2, 3, 5, 8] {
             let got = FitnessEngine::new(&exps, threads).evaluate_batch(&ms);
@@ -660,16 +470,16 @@ mod tests {
         // experiment panics inside a worker thread. The batch call must
         // re-raise that panic, not deadlock waiting for a result.
         let bad = ThreeLevelMapping::new(1, vec![vec![uop(1, &[0])]]);
-        let batch = Arc::new(vec![bad.clone(), bad]);
+        let batch = vec![bad.clone(), bad];
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.evaluate_batch(&batch)
         }));
         assert!(outcome.is_err(), "worker panic was swallowed");
 
-        // After a caught panic the pool is retired; the engine stays
-        // usable and must not serve the dead batch's leftover results.
+        // After a caught panic the engine stays usable and must not
+        // serve the dead batch's leftover results.
         let good = mapping(vec![vec![uop(2, &[0])], vec![uop(1, &[0, 1])]]);
-        let fresh = Arc::new(vec![good.clone(), good.clone(), good.clone()]);
+        let fresh = vec![good.clone(), good.clone(), good.clone()];
         let got = engine.evaluate_batch(&fresh);
         assert_eq!(got.len(), 3);
         for o in got {

@@ -14,7 +14,7 @@
 //!   the classic single-population loop and reproduces it bit for bit.
 //! * **Lockstep generations, one shared pool** — each generation, every
 //!   island's children are concatenated into a single
-//!   [`FitnessEngine::evaluate_batch_owned`] call. The engine's batch
+//!   [`FitnessEngine::evaluate_batch`] call. The engine's batch
 //!   results are order-deterministic for every worker count, so island
 //!   results never depend on thread scheduling.
 //! * **Deterministic migration** — every
@@ -277,7 +277,8 @@ pub fn evolve_islands(
     let p = config.population_size;
 
     // One engine per run: experiments are compiled once and the worker
-    // threads live across every generation and the final local search.
+    // solvers stay warm across every generation and the final local
+    // search.
     let mut engine = FitnessEngine::new(experiments, config.num_threads);
 
     let mut state = match start {
@@ -314,7 +315,7 @@ pub fn evolve_islands(
             }
             // One merged batch for every island's initial evaluation.
             let flat: Vec<ThreeLevelMapping> = isl_pops.into_iter().flatten().collect();
-            let (flat, objectives) = engine.evaluate_batch_owned(flat);
+            let objectives = engine.evaluate_batch(&flat);
             let mut flat = flat.into_iter();
             let mut objectives = objectives.into_iter();
             let islands_vec = rngs
@@ -380,7 +381,7 @@ pub fn evolve_islands(
             }
             all_children.extend(children);
         }
-        let (all_children, child_objectives) = engine.evaluate_batch_owned(all_children);
+        let child_objectives = engine.evaluate_batch(&all_children);
 
         // Pool selection per island: keep the island's p best by
         // scalarized fitness over its own 2p pool.

@@ -128,9 +128,9 @@ fn hot_path_is_allocation_free_after_warmup() {
 }
 
 fn assert_allocation_free(gt: &ThreeLevelMapping, measured: &[MeasuredExperiment]) {
-    // Thread count 1: batch jobs and results travel over channels (one
-    // node per *batch*, not per evaluation); the per-evaluation claim is
-    // about the solver path, measured here on the calling thread.
+    // Thread count 1: a batch runs on the calling thread and allocates
+    // only its result vectors (per *batch*, not per evaluation); the
+    // per-evaluation claim is about the solver path, measured here.
     let mut engine = FitnessEngine::new(measured, 1);
 
     let m1 = gt.clone();

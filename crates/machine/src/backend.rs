@@ -1,19 +1,21 @@
 //! The simulator-backed [`MeasurementBackend`]: measurement batches run
-//! on the cycle-level simulator, chunked across worker threads.
+//! on the cycle-level simulator, chunked across the workspace's worker
+//! pool.
 
 use crate::measure::{MeasureConfig, Measurer};
 use crate::platform::Platform;
-use pmevo_core::{BackendStats, Experiment, MeasurementBackend};
+use pmevo_core::{pool, BackendStats, Experiment, MeasurementBackend};
 use std::time::Instant;
 
 /// Measures experiment batches on a [`Platform`]'s cycle-level simulator
 /// through the [`Measurer`] harness of paper §4.2.
 ///
-/// Batches are split into contiguous chunks across up to
-/// [`parallelism`](Self::parallelism) worker threads. The measurement
-/// noise stream is a pure function of `(config.seed, experiment)` (see
-/// [`Measurer::measure`]), so results are bit-identical for every thread
-/// count and batch split.
+/// Batches run on [`pmevo_core::pool`] with up to
+/// [`parallelism`](Self::parallelism) worker threads, each measuring
+/// through its own [`Measurer`] and claiming contiguous chunks as it
+/// finishes the last. The measurement noise stream is a pure function
+/// of `(config.seed, experiment)` (see [`Measurer::measure`]), so results
+/// are bit-identical for every thread count and batch split.
 ///
 /// # Example
 ///
@@ -39,10 +41,7 @@ impl SimBackend {
     /// Creates a backend over `platform`, measuring with all available
     /// cores.
     pub fn new(platform: Platform, config: MeasureConfig) -> Self {
-        let parallelism = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::with_parallelism(platform, config, parallelism)
+        Self::with_parallelism(platform, config, pool::available_workers())
     }
 
     /// Creates a backend with an explicit worker-thread cap.
@@ -81,31 +80,15 @@ impl SimBackend {
 impl MeasurementBackend for SimBackend {
     fn measure_batch(&mut self, experiments: &[Experiment]) -> Vec<f64> {
         let start = Instant::now();
-        let threads = self.parallelism.min(experiments.len()).max(1);
-        let out = if threads <= 1 {
-            let measurer = Measurer::new(&self.platform, self.config.clone());
-            experiments.iter().map(|e| measurer.measure(e)).collect()
-        } else {
-            let chunk = experiments.len().div_ceil(threads);
-            let mut out = Vec::with_capacity(experiments.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = experiments
-                    .chunks(chunk)
-                    .map(|exps| {
-                        let platform = &self.platform;
-                        let config = &self.config;
-                        scope.spawn(move || {
-                            let measurer = Measurer::new(platform, config.clone());
-                            exps.iter().map(|e| measurer.measure(e)).collect::<Vec<f64>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    out.extend(h.join().expect("measurement worker panicked"));
-                }
-            });
-            out
-        };
+        let mut measurers: Vec<Measurer> = (0..self.parallelism.min(experiments.len()).max(1))
+            .map(|_| Measurer::new(&self.platform, self.config.clone()))
+            .collect();
+        let out = pool::map(&mut measurers, experiments.len(), |measurer, range| {
+            experiments[range]
+                .iter()
+                .map(|e| measurer.measure(e))
+                .collect()
+        });
         self.stats.measurements_requested += experiments.len() as u64;
         self.stats.measurements_performed += experiments.len() as u64;
         self.stats.measurement_time += start.elapsed();

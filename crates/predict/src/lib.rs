@@ -17,7 +17,7 @@
 //! * [`Predictor`] — batched throughput queries through the
 //!   allocation-free [`pmevo_core::ThroughputSolver`] path: sequences
 //!   are compiled once ([`pmevo_core::CompiledExperiments`] interning),
-//!   fanned out over a persistent worker pool, and memoized in a
+//!   solved on the workspace's worker pool, and memoized in a
 //!   per-mapping [`LruCache`];
 //! * the sequence grammar itself lives in `pmevo-core`
 //!   ([`pmevo_core::parse_sequence`]) so every front end — this crate,

@@ -1,19 +1,19 @@
-//! The batched prediction engine: persistent workers, compile-once
+//! The batched prediction engine: long-lived solvers, compile-once
 //! batches, LRU-cached results.
 //!
 //! A [`Predictor`] answers throughput queries against the mappings of a
 //! [`MappingStore`]. Its execution path is the workspace's
-//! allocation-free solver pipeline (PR 2): a batch of sequences is
-//! compiled **once** into a [`CompiledExperiments`] (dense interning,
-//! flat rows), then evaluated by a pool of worker threads that each own
-//! a long-lived [`ThroughputSolver`] — after warm-up, serving a batch
-//! performs no per-query heap allocation inside the solver. Results are
-//! memoized in a per-mapping [`LruCache`], so the skewed query streams
-//! of real clients (compilers re-asking about hot basic blocks) short-
-//! circuit to a hash lookup.
+//! allocation-free solver pipeline: a batch of cache misses is compiled
+//! **once** into a [`CompiledExperiments`] (dense interning, flat rows),
+//! then solved on the workspace's worker pool ([`pmevo_core::pool`]) by
+//! long-lived [`ThroughputSolver`]s, one per worker — after warm-up, the
+//! solver performs no per-query heap allocation. Results are memoized in
+//! a per-mapping [`LruCache`], so the skewed query streams of real
+//! clients (compilers re-asking about hot basic blocks) short-circuit
+//! to a hash lookup.
 //!
 //! Like every parallel layer of this workspace ([`Service::run_many`],
-//! the fitness engine), the pool is **thread-count independent**: a
+//! the fitness engine), the predictor is **thread-count independent**: a
 //! prediction is a pure function of the sequence and the mapping bits,
 //! so results are bit-identical for every worker count and for cache
 //! hits vs misses. A property test in `tests/proptest_predict.rs`
@@ -24,20 +24,18 @@
 use crate::lru::LruCache;
 use crate::store::{LoadedArtifact, MappingId, MappingStore, StoreError};
 use pmevo_core::{
-    CompiledExperiments, Experiment, MappingJsonError, MeasuredExperiment, ThreeLevelMapping,
+    pool, CompiledExperiments, Experiment, MappingJsonError, MeasuredExperiment, ThreeLevelMapping,
     ThroughputSolver,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 
 /// Configuration of a [`Predictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictorConfig {
-    /// Worker threads in the persistent pool (at least 1; results do not
-    /// depend on the count).
+    /// Worker threads that solve a large batch of cache misses (at least
+    /// 1; results do not depend on the count).
     pub workers: usize,
     /// LRU result-cache capacity *per stored mapping* (0 disables
     /// caching).
@@ -47,7 +45,7 @@ pub struct PredictorConfig {
 impl Default for PredictorConfig {
     fn default() -> Self {
         PredictorConfig {
-            workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            workers: pool::available_workers(),
             cache_capacity: 1 << 16,
         }
     }
@@ -87,55 +85,14 @@ impl PredictStats {
     }
 }
 
-/// One unit of pool work: predict a contiguous slice of a compiled
-/// batch under a mapping.
-struct Job {
-    compiled: Arc<CompiledExperiments>,
-    mapping: Arc<ThreeLevelMapping>,
-    start: usize,
-    end: usize,
-    out: Sender<(usize, Vec<f64>)>,
-}
-
-fn worker_loop(jobs: Arc<Mutex<Receiver<Job>>>) {
-    // One solver per worker for the life of the pool: its scratch and
-    // loaded-mapping tables are reused across every batch it serves.
-    let mut solver = ThroughputSolver::new();
-    let mut indices: Vec<u32> = Vec::new();
-    loop {
-        let job = jobs.lock().expect("job queue poisoned").recv();
-        let Ok(job) = job else { break };
-        solver.load_mapping(&job.compiled, &job.mapping);
-        indices.clear();
-        indices.extend(job.start as u32..job.end as u32);
-        // The batched solve coalesces same-k zeta experiments into the
-        // lane-parallel kernel; bit-identical to per-index `predict`.
-        let mut out = Vec::with_capacity(job.end - job.start);
-        solver.predict_batch(&job.compiled, &indices, &mut out);
-        if job.out.send((job.start, out)).is_err() {
-            // The requester vanished; keep serving other batches.
-            continue;
-        }
-    }
-}
-
-/// Calling-thread solver state for the inline miss path (see
-/// [`Predictor::predict_batch`]).
-struct InlineSolver {
-    solver: ThroughputSolver,
-    indices: Vec<u32>,
-    out: Vec<f64>,
-}
-
-/// Largest miss count a multi-worker predictor will solve inline (when
-/// the inline solver is free) instead of fanning out over the pool. A
-/// pool round-trip costs a channel send + condvar wake on both ends —
-/// microseconds — so small batches are faster on the calling thread
-/// even with zero contention.
+/// Largest miss count a predictor solves on the calling thread alone
+/// instead of fanning out over its worker threads. Starting the workers
+/// costs microseconds, so small batches are faster on the calling
+/// thread.
 const INLINE_MISS_MAX: usize = 128;
 
 /// A throughput-prediction service over a [`MappingStore`]: batched,
-/// cached, thread-pooled — the paper's §6 evaluation loop turned into a
+/// cached, multi-threaded — the paper's §6 evaluation loop turned into a
 /// serving path measured in sequences per second.
 ///
 /// # Example
@@ -185,35 +142,27 @@ pub struct Predictor {
     miss_solve_ns: AtomicU64,
     /// Queries answered per mapping id, for the stats surface.
     per_mapping: Mutex<HashMap<u32, u64>>,
-    /// Calling-thread solver for small miss batches: skips the pool's
-    /// channel/condvar round-trip, which dominates per-sequence latency
-    /// at low hit rates.
-    inline: Mutex<InlineSolver>,
-    jobs: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    /// One solver per worker, warm across batches. Concurrent batches
+    /// take turns on the set; `solvers[0]` serves the calling thread.
+    solvers: Mutex<Vec<ThroughputSolver>>,
+    /// `solvers.len()`, readable without waiting for a solve.
+    workers: usize,
 }
 
 impl std::fmt::Debug for Predictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Predictor")
             .field("mappings", &self.snapshot().len())
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers)
             .field("cache_capacity", &self.cache_capacity)
             .finish()
     }
 }
 
 impl Predictor {
-    /// Spawns the worker pool and wraps `store` as a prediction service.
+    /// Wraps `store` as a prediction service with one solver per worker.
     pub fn new(store: MappingStore, config: PredictorConfig) -> Self {
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || worker_loop(rx))
-            })
-            .collect();
+        let workers = config.workers.max(1);
         Predictor {
             store: RwLock::new(Arc::new(store)),
             caches: Mutex::new(HashMap::new()),
@@ -223,12 +172,7 @@ impl Predictor {
             batches: AtomicU64::new(0),
             miss_solve_ns: AtomicU64::new(0),
             per_mapping: Mutex::new(HashMap::new()),
-            inline: Mutex::new(InlineSolver {
-                solver: ThroughputSolver::new(),
-                indices: Vec::new(),
-                out: Vec::new(),
-            }),
-            jobs: Some(tx),
+            solvers: Mutex::new(vec![ThroughputSolver::new(); workers]),
             workers,
         }
     }
@@ -327,9 +271,9 @@ impl Predictor {
         Ok(id)
     }
 
-    /// Number of pool workers.
+    /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// A snapshot of the serving counters.
@@ -358,12 +302,11 @@ impl Predictor {
     /// of every sequence under the stored mapping `id`, in input order.
     ///
     /// Cache hits are answered inline; misses are compiled once and
-    /// solved either on the calling thread (single-worker pools always;
-    /// multi-worker pools for small batches when the inline solver is
-    /// free — the pool round-trip costs more than the solve) or fanned
-    /// out over the pool. Both paths run the same batched solver, so the
-    /// result is bit-identical for every worker count, cache
-    /// configuration and inline/pool routing.
+    /// solved on the calling thread (up to 128 misses, where starting
+    /// the workers costs more than the solve) or across every worker.
+    /// Both paths run the same batched solver, so the result is
+    /// bit-identical for every worker count and cache configuration.
+    /// Concurrent calls take turns on the solvers.
     ///
     /// # Panics
     ///
@@ -460,64 +403,20 @@ impl Predictor {
                 .collect::<Vec<_>>(),
         );
         let n = miss_idx.len();
-
-        // Inline policy: a single-worker pool gains nothing from the
-        // hand-off, so always solve on the calling thread (blocking on
-        // the inline solver serializes exactly like the 1-worker queue
-        // would). Multi-worker pools solve small batches inline only
-        // when the solver is free, falling back to the pool under
-        // contention.
-        let inline_guard = if self.workers.len() == 1 {
-            Some(self.inline.lock().expect("inline solver poisoned"))
-        } else if n <= INLINE_MISS_MAX {
-            self.inline.try_lock().ok()
-        } else {
-            None
-        };
-        if let Some(mut guard) = inline_guard {
-            let g = &mut *guard;
-            g.solver.load_mapping(&compiled, &mapping);
-            g.indices.clear();
-            g.indices.extend(0..n as u32);
-            g.solver.predict_batch(&compiled, &g.indices, &mut g.out);
-            for (k, &i) in miss_idx.iter().enumerate() {
-                results[i] = g.out[k];
-            }
-        } else {
-            let compiled = Arc::new(compiled);
-            let mapping = Arc::clone(&mapping);
-            let chunks = self.workers.len().min(n).max(1);
-            let chunk_size = n.div_ceil(chunks);
-            let (tx, rx) = channel();
-            let jobs = self.jobs.as_ref().expect("pool alive while predictor exists");
-            for c in 0..chunks {
-                let start = c * chunk_size;
-                // With `chunk_size = ceil(n / chunks)` the tail chunks
-                // can be empty (e.g. n = 5 over 4 workers): stop
-                // dispatching then.
-                if start >= n {
-                    break;
-                }
-                let end = ((c + 1) * chunk_size).min(n);
-                jobs.send(Job {
-                    compiled: Arc::clone(&compiled),
-                    mapping: Arc::clone(&mapping),
-                    start,
-                    end,
-                    out: tx.clone(),
-                })
-                .expect("worker pool alive");
-            }
-            drop(tx);
-
-            let mut received = 0usize;
-            for (start, values) in rx {
-                received += values.len();
-                for (k, t) in values.into_iter().enumerate() {
-                    results[miss_idx[start + k]] = t;
-                }
-            }
-            assert_eq!(received, n, "a prediction worker died mid-batch");
+        let mut solvers = self.solvers.lock().expect("solver set poisoned");
+        let workers = if n <= INLINE_MISS_MAX { 1 } else { solvers.len() };
+        let solved = pool::map(&mut solvers[..workers], n, |solver, range| {
+            solver.load_mapping(&compiled, &mapping);
+            // The batched solve coalesces same-k zeta experiments into the
+            // lane-parallel kernel; bit-identical to per-index `predict`.
+            let indices: Vec<u32> = (range.start as u32..range.end as u32).collect();
+            let mut out = Vec::with_capacity(range.len());
+            solver.predict_batch(&compiled, &indices, &mut out);
+            out
+        });
+        drop(solvers);
+        for (&i, t) in miss_idx.iter().zip(solved) {
+            results[i] = t;
         }
         self.miss_solve_ns
             .fetch_add(solve_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -590,17 +489,6 @@ impl Predictor {
             }
         }
         out
-    }
-}
-
-impl Drop for Predictor {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker loop; join so no thread
-        // outlives the service.
-        drop(self.jobs.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -778,9 +666,9 @@ mod tests {
 
     #[test]
     fn batches_slightly_larger_than_the_pool_complete() {
-        // Regression: with ceil-sized chunks a 5-miss batch over 4
-        // workers produces an empty tail chunk, which must not be
-        // dispatched (it used to underflow `end - start`).
+        // Batches of 1-9 misses on a 4-worker predictor. They all solve
+        // on the calling thread; chunk counts just above the worker
+        // count are covered by the pool's own ordering test.
         let (store, id) = demo_store();
         let predictor = Predictor::new(store, PredictorConfig { workers: 4, cache_capacity: 0 });
         for n in 1..=9u32 {

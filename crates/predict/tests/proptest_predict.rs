@@ -34,12 +34,14 @@ fn mapping_strategy() -> impl Strategy<Value = ThreeLevelMapping> {
 
 /// Random query streams with duplicates (indices into a small pool of
 /// random sequences), so the cache actually serves hits mid-stream.
+/// More than half of them are longer than 128 queries, so their first
+/// 200-query batch is all misses and fans out over the workers.
 fn stream_strategy() -> impl Strategy<Value = Vec<Experiment>> {
     let pool = proptest::collection::vec(
         proptest::collection::vec((0u32..NUM_INSTS as u32, 1u32..5), 1..5),
         1..12,
     );
-    (pool, proptest::collection::vec(0usize..1024, 1..40)).prop_map(
+    (pool, proptest::collection::vec(0usize..1024, 1..300)).prop_map(
         |(pool, picks)| {
             let pool: Vec<Experiment> = pool
                 .into_iter()
@@ -60,8 +62,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Serves `stream` through a fresh predictor in `chunk`-sized batches —
 /// later batches can hit cache entries written by earlier ones, and the
-/// chunk size steers which miss path runs (inline single/small batches
-/// vs pool fan-out vs lane-coalesced lockstep solves).
+/// chunk size steers which miss path runs (single sequences, small and
+/// lane-coalesced batches on the calling thread, or more than 128 misses
+/// across every worker).
 fn serve(
     mapping: &ThreeLevelMapping,
     stream: &[Experiment],
@@ -81,7 +84,7 @@ fn serve(
 }
 
 proptest! {
-    // Each case serves 9 predictor configurations × 3 batch sizes; 48
+    // Each case serves 9 predictor configurations × 4 batch sizes; 48
     // cases keep the suite around a second (override downward with
     // PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -89,9 +92,11 @@ proptest! {
     /// The tentpole serving contract: for random mappings and random
     /// skewed query streams, every (worker count × cache mode × batch
     /// size) serving configuration returns byte-for-byte the same
-    /// answers as the naive reference path. Batch size 1 pins the
-    /// inline miss path, 7 the small-batch hand-off, 64 the
-    /// lane-coalesced lockstep solve.
+    /// answers as the naive reference path. Batch sizes 1, 7 and 64 solve
+    /// their misses on the calling thread, 64 through the lane-coalesced
+    /// lockstep solve; a 200-query batch of a stream longer than 128
+    /// queries starts with more than 128 misses, which the 2- and
+    /// 8-worker predictors split across their workers.
     #[test]
     fn predictions_are_bit_identical_across_workers_and_cache_modes(
         mapping in mapping_strategy(),
@@ -101,7 +106,7 @@ proptest! {
         let reference_bits = bits(&reference);
         for workers in [1usize, 2, 8] {
             for cache in [0usize, 4, 1 << 12] {
-                for chunk in [1usize, 7, 64] {
+                for chunk in [1usize, 7, 64, 200] {
                     let served = serve(&mapping, &stream, workers, cache, chunk);
                     prop_assert_eq!(
                         bits(&served),

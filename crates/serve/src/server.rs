@@ -4,7 +4,7 @@
 
 use crate::specs::{load_spec_artifact, route_line};
 use pmevo_core::json::{self, Value};
-use pmevo_core::{parse_control, ControlVerb, Experiment, SequenceParseError, ServeRecord};
+use pmevo_core::{parse_control, pool, ControlVerb, Experiment, SequenceParseError, ServeRecord};
 use pmevo_predict::{MappingId, MappingStore, PredictStats, Predictor, PredictorConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads of the underlying [`Predictor`] pool.
+    /// Worker threads of the underlying [`Predictor`].
     pub workers: usize,
     /// LRU result-cache capacity per stored mapping (0 disables caching).
     pub cache_capacity: usize,
@@ -37,7 +37,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            workers: pool::available_workers(),
             cache_capacity: 1 << 16,
             max_batch: 1024,
             max_delay: Duration::from_millis(1),

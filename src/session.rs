@@ -37,7 +37,7 @@
 use pmevo_core::checkpoint::SessionCheckpoint;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{
-    CachingBackend, Experiment, InferenceAlgorithm, InstId, MeasurementBackend,
+    pool, CachingBackend, Experiment, InferenceAlgorithm, InstId, MeasurementBackend,
     MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping,
 };
 use pmevo_evo::{CheckpointConfig, PmEvoAlgorithm};
@@ -45,10 +45,8 @@ use pmevo_machine::{MeasureConfig, Platform, SimBackend};
 use pmevo_stats::AccuracySummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc::channel;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -990,9 +988,10 @@ impl fmt::Display for SessionReport {
 /// Executes many independent [`Session`]s concurrently over one shared
 /// pool of worker threads.
 ///
-/// Each worker runs whole sessions pulled from a shared queue, and the
-/// machine's cores are divided between the concurrent workers: each
-/// session's internal fitness-evaluation parallelism is capped to
+/// Each worker runs whole sessions, claimed in job order from the
+/// workspace's worker pool ([`pmevo_core::pool`]), and the machine's
+/// cores are divided between the concurrent workers: each session's
+/// internal fitness-evaluation parallelism is capped to
 /// `available_parallelism / workers` (via
 /// [`Session::set_worker_threads`]), so a single job still uses the
 /// whole machine while many concurrent jobs never oversubscribe it.
@@ -1040,15 +1039,6 @@ impl Service {
         Service { worker_threads }
     }
 
-    /// A service sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        Service::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-    }
-
     /// The pool size.
     pub fn worker_threads(&self) -> usize {
         self.worker_threads
@@ -1060,7 +1050,8 @@ impl Service {
     /// # Panics
     ///
     /// If a session panics, the panic is re-raised on the caller after
-    /// the remaining workers have drained.
+    /// the remaining workers have drained: they finish the sessions they
+    /// have claimed and claim no more.
     pub fn run_many(&self, mut jobs: Vec<Session>) -> Vec<SessionReport> {
         let n = jobs.len();
         if n == 0 {
@@ -1072,54 +1063,22 @@ impl Service {
         // fully while eight concurrent jobs do not oversubscribe.
         // Reports are unaffected either way (thread-count independence).
         let workers = self.worker_threads.min(n);
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(4);
+        let cores = pool::available_workers();
         for job in &mut jobs {
             job.set_worker_threads((cores / workers).max(1));
         }
-        if workers == 1 {
-            return jobs.into_iter().map(Session::run).collect();
-        }
-        let queue: Mutex<VecDeque<(usize, Session)>> =
-            Mutex::new(jobs.into_iter().enumerate().collect());
-        let queue = &queue;
-        let (result_tx, result_rx) = channel();
-        let mut out: Vec<Option<SessionReport>> = (0..n).map(|_| None).collect();
-        let mut panic_payload = None;
-        std::thread::scope(|scope| {
-            for _ in 0..self.worker_threads.min(n) {
-                let result_tx = result_tx.clone();
-                scope.spawn(move || loop {
-                    let job = queue.lock().expect("job queue poisoned").pop_front();
-                    let Some((idx, session)) = job else { break };
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        session.run()
-                    }));
-                    let failed = outcome.is_err();
-                    if result_tx.send((idx, outcome)).is_err() || failed {
-                        break;
-                    }
-                });
-            }
-            drop(result_tx);
-            for (idx, outcome) in result_rx {
-                match outcome {
-                    Ok(report) => out[idx] = Some(report),
-                    Err(payload) => {
-                        panic_payload.get_or_insert(payload);
-                        // Drain the queue so the remaining workers stop
-                        // picking up new jobs.
-                        queue.lock().expect("job queue poisoned").clear();
-                    }
-                }
-            }
-        });
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        out.into_iter()
-            .map(|r| r.expect("every job reported or the panic re-raised"))
-            .collect()
+        // Each session is taken out of its slot by the worker that runs
+        // it.
+        let slots: Vec<Mutex<Option<Session>>> =
+            jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        pool::map(&mut vec![(); workers], n, |(), range| {
+            slots[range]
+                .iter()
+                .map(|slot| {
+                    let session = slot.lock().expect("session slot lock").take();
+                    session.expect("each session runs once").run()
+                })
+                .collect()
+        })
     }
 }
