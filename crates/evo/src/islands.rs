@@ -599,6 +599,94 @@ mod tests {
         }
     }
 
+    /// FNV-1a over everything a run leaves behind: every island's
+    /// population, objectives and RNG words, the history, and the winner
+    /// with its objectives and generation count.
+    fn run_hash(run: &IslandsEvolution) -> u64 {
+        fn put_mapping(bytes: &mut Vec<u8>, m: &ThreeLevelMapping) {
+            for entries in m.decompositions() {
+                bytes.extend((entries.len() as u64).to_le_bytes());
+                for e in entries {
+                    bytes.extend(e.count.to_le_bytes());
+                    bytes.extend(e.ports.mask().to_le_bytes());
+                }
+            }
+        }
+        fn put_objectives(bytes: &mut Vec<u8>, o: &Objectives) {
+            bytes.extend(o.error.to_bits().to_le_bytes());
+            bytes.extend(o.volume.to_le_bytes());
+        }
+        let mut bytes = Vec::new();
+        for isl in &run.islands {
+            for (m, o) in isl.population.iter().zip(&isl.objectives) {
+                put_mapping(&mut bytes, m);
+                put_objectives(&mut bytes, o);
+            }
+            for word in isl.rng.state() {
+                bytes.extend(word.to_le_bytes());
+            }
+        }
+        for h in &run.result.history {
+            bytes.extend(h.to_bits().to_le_bytes());
+        }
+        put_mapping(&mut bytes, &run.result.mapping);
+        put_objectives(&mut bytes, &run.result.objectives);
+        bytes.extend(run.result.generations.to_le_bytes());
+        pmevo_core::binfmt::fnv1a(&bytes)
+    }
+
+    /// Runs with mutation, pinned by absolute hashes: breeding's output
+    /// bits must not depend on how or where children are built, nor on
+    /// the worker count. Covers mutation rates 0.3 and 1.0, one and
+    /// three islands, and odd populations (the last pair keeps one
+    /// child).
+    #[test]
+    fn mutation_runs_match_their_golden_hashes() {
+        // (mutation rate, islands, population, hash)
+        const GOLDEN: [(f64, u32, usize, u64); 6] = [
+            (0.3, 1, 16, 0xb889f76da85a67b8),
+            (1.0, 1, 16, 0x2ee8293324d53b14),
+            (0.3, 3, 16, 0xc9e13ef392cb49b8),
+            (1.0, 3, 16, 0x498137524233f096),
+            (0.3, 1, 15, 0xe6579ae046900a27),
+            (1.0, 3, 13, 0x7702c41c367ce43e),
+        ];
+        let (measured, indiv) = toy_problem();
+        let mut got = Vec::new();
+        for &(rate, count, population, _) in &GOLDEN {
+            let hashes: Vec<u64> = [1, 2, 3]
+                .into_iter()
+                .map(|threads| {
+                    let cfg = EvoConfig {
+                        population_size: population,
+                        mutation_rate: rate,
+                        ..config(21, threads)
+                    };
+                    let islands = IslandConfig { count, interval: 2, migrants: 2 };
+                    run_hash(&evolve_islands(
+                        3, 3, &measured, &indiv, &cfg, &islands,
+                        IslandStart::Fresh(Vec::new()), true, None,
+                    ))
+                })
+                .collect();
+            assert!(
+                hashes.windows(2).all(|w| w[0] == w[1]),
+                "rate {rate}, {count} islands, population {population}: \
+                 the worker count changed the run ({hashes:x?})"
+            );
+            got.push((rate, count, population, hashes[0]));
+        }
+        let want: Vec<_> = GOLDEN.to_vec();
+        assert!(
+            got == want,
+            "mutation runs drifted; the new table is:\n{}",
+            got.iter()
+                .map(|(r, c, p, h)| format!("            ({r:?}, {c}, {p}, {h:#018x}),"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+
     #[test]
     #[should_panic(expected = "initial population larger than the configured population size")]
     fn oversized_seed_population_is_rejected() {
