@@ -37,7 +37,8 @@ pub struct EvoConfig {
     /// The paper eliminated mutation (0.0, the default); non-zero values
     /// exist for the ablation bench.
     pub mutation_rate: f64,
-    /// Worker threads for fitness evaluation.
+    /// Worker threads for breeding and scoring each generation's
+    /// children, and for the initial population's scoring.
     pub num_threads: usize,
     /// Maximum full passes of the hill-climbing local search.
     pub local_search_passes: u32,
@@ -129,7 +130,7 @@ pub fn recombine<R: Rng + ?Sized>(
 
 /// Optional mutation operator (ablation only): with probability
 /// `rate` per instruction, resample one µop's port set.
-pub(crate) fn mutate<R: Rng + ?Sized>(rng: &mut R, m: &mut ThreeLevelMapping, rate: f64) {
+pub fn mutate<R: Rng + ?Sized>(rng: &mut R, m: &mut ThreeLevelMapping, rate: f64) {
     if rate <= 0.0 {
         return;
     }
@@ -148,6 +149,51 @@ pub(crate) fn mutate<R: Rng + ?Sized>(rng: &mut R, m: &mut ThreeLevelMapping, ra
             };
             entries[idx] = UopEntry::new(entries[idx].count, ports);
             m.set_decomposition(id, entries);
+        }
+    }
+}
+
+/// Advances `rng` past one child pair's breeding without building it:
+/// afterwards `rng` is where [`recombine`] of `a` and `b` followed by
+/// [`mutate`] of both children at `rate` would have left it.
+///
+/// This must make exactly their draws, in their order. The island loop
+/// skips each pair's draws on the calling thread and rebuilds the pair
+/// from its start state on a worker, asserting that the rebuild ends
+/// where the skip did.
+pub fn skip_pair<R: Rng + ?Sized>(
+    rng: &mut R,
+    a: &ThreeLevelMapping,
+    b: &ThreeLevelMapping,
+    rate: f64,
+) {
+    for i in 0..a.num_insts() {
+        let id = InstId(i as u32);
+        // `recombine`: one side per µop of both parents, and the repair
+        // draw when one child got every µop.
+        let total = a.num_uops_of(id) as usize + b.num_uops_of(id) as usize;
+        let in_a = (0..total).filter(|_| rng.gen::<bool>()).count();
+        if in_a == 0 || in_a == total {
+            rng.gen_range(0..total);
+        }
+    }
+    for _child in 0..2 {
+        skip_mutate(rng, a.num_insts(), a.num_ports(), rate);
+    }
+}
+
+/// The draws of [`mutate`] on a mapping of `num_insts` instructions over
+/// `num_ports` ports.
+fn skip_mutate<R: Rng + ?Sized>(rng: &mut R, num_insts: usize, num_ports: usize, rate: f64) {
+    if rate <= 0.0 {
+        return;
+    }
+    let full = pmevo_core::PortSet::first_n(num_ports).mask();
+    for _ in 0..num_insts {
+        if rng.gen::<f64>() < rate {
+            // The µop index: `gen_range` draws one word whatever its span.
+            rng.next_u64();
+            while rng.gen::<u64>() & full == 0 {}
         }
     }
 }

@@ -15,13 +15,15 @@
 //! reference implementation; the engine returns bit-identical values
 //! (enforced by the property tests in `tests/proptest_fitness.rs`).
 //!
-//! Batches run on the workspace's worker pool ([`pmevo_core::pool`]).
-//! Their results are returned in submission order and are a pure
-//! function of the inputs, independent of worker count and scheduling —
-//! which is what lets the island model ([`crate::islands`]) concatenate
-//! every island's children into one merged batch per generation and
-//! recover the per-island results by slicing the batch, bit-identically
-//! for any worker count.
+//! Batches run on the workspace's worker pool ([`pmevo_core::pool`]):
+//! [`FitnessEngine::evaluate_batch`] scores given mappings, and
+//! [`FitnessEngine::build_and_evaluate`] builds the mappings on the
+//! workers too and scores each where it was built. Results are returned
+//! in submission order and are a pure function of the inputs,
+//! independent of worker count and scheduling — which is what lets the
+//! island model ([`crate::islands`]) breed and score every island's
+//! children in one pass per generation and recover the per-island
+//! results by slicing, bit-identically for any worker count.
 
 use pmevo_core::{
     pool, CompiledExperiments, InstId, MeasuredExperiment, ThreeLevelMapping, ThroughputSolver,
@@ -180,6 +182,40 @@ impl FitnessEngine {
                 })
                 .collect()
         })
+    }
+
+    /// Builds candidates on the worker threads and scores each where it
+    /// was built: `build(i)` returns the mappings of index `i` of `0..n`.
+    /// Returns every built mapping with its objectives, in index order
+    /// and then in the order `build` returned them. When `build` is a
+    /// pure function of its index, the result is identical for every
+    /// thread count.
+    pub fn build_and_evaluate<I, F>(
+        &mut self,
+        n: usize,
+        build: F,
+    ) -> Vec<(ThreeLevelMapping, Objectives)>
+    where
+        I: IntoIterator<Item = ThreeLevelMapping>,
+        F: Fn(usize) -> I + Sync,
+    {
+        self.delta_sync = DeltaSync::Unsynced;
+        let compiled = &self.compiled;
+        let built = pool::map(&mut self.solvers, n, |solver, range| {
+            range
+                .map(|i| {
+                    build(i)
+                        .into_iter()
+                        .map(|m| {
+                            let error = solver.average_error(compiled, &m);
+                            let volume = m.volume();
+                            (m, Objectives { error, volume })
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        });
+        built.into_iter().flatten().collect()
     }
 
     /// Records the per-experiment errors of `mapping`, the starting point

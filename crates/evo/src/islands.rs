@@ -12,11 +12,17 @@
 //!   seeded with [`island_seed`]`(config.seed, i)`. Island 0's seed *is*
 //!   the session seed, so a 1-island run consumes exactly the stream of
 //!   the classic single-population loop and reproduces it bit for bit.
-//! * **Lockstep generations, one shared pool** — each generation, every
-//!   island's children are concatenated into a single
-//!   [`FitnessEngine::evaluate_batch`] call. The engine's batch
-//!   results are order-deterministic for every worker count, so island
-//!   results never depend on thread scheduling.
+//! * **Lockstep generations, one shared pool** — each generation is one
+//!   pass over the worker pool for every island's children. The calling
+//!   thread draws each child pair's parents and skips the island's
+//!   stream past the pair's breeding draws with [`skip_pair`], recording
+//!   the stream's state before and after. One
+//!   [`FitnessEngine::build_and_evaluate`] call then rebuilds every pair
+//!   from its start state with [`recombine`] and [`mutate`] on the
+//!   workers, asserts that each rebuild ends at the recorded state, and
+//!   scores the children where they were built. Results come back in
+//!   pair order for every worker count, so island results never depend
+//!   on thread scheduling.
 //! * **Deterministic migration** — every
 //!   [`IslandConfig::interval`] generations, each island sends clones of
 //!   its [`IslandConfig::migrants`] best individuals (stable
@@ -29,12 +35,24 @@
 //! to and from [`pmevo_core::checkpoint::EvoCheckpoint`] — the basis of
 //! the session checkpoint/resume feature (see [`crate::pipeline`]).
 
-use crate::evolution::{hill_climb, mutate, recombine, EvoConfig, EvoResult};
+use crate::evolution::{hill_climb, mutate, recombine, skip_pair, EvoConfig, EvoResult};
 use crate::fitness::{scalarize, FitnessEngine, Objectives};
 use pmevo_core::checkpoint::{EvoCheckpoint, IslandCheckpoint};
 use pmevo_core::{MeasuredExperiment, ThreeLevelMapping};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One child pair of a generation, as the calling thread drew it: the
+/// island, the parents' indices in its population, and the island
+/// stream's states before and after the pair's breeding draws.
+struct Pair {
+    island: usize,
+    parents: (usize, usize),
+    start: StdRng,
+    end: [u64; 4],
+    /// Whether the pair keeps its second child.
+    both: bool,
+}
 
 /// Island-model topology parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -361,34 +379,63 @@ pub fn evolve_islands(
         if state.stall >= config.stall_generations {
             break;
         }
-        // Children: p new individuals per island from random parent
-        // pairs, drawn from the island's own stream, evaluated in one
-        // merged batch (order-deterministic for every worker count).
-        let mut all_children = Vec::with_capacity(p * n_islands);
-        for isl in &mut state.islands {
-            let mut children = Vec::with_capacity(p);
-            while children.len() < p {
-                let ia = isl.rng.gen_range(0..p);
-                let ib = isl.rng.gen_range(0..p);
-                let (mut c1, mut c2) =
-                    recombine(&mut isl.rng, &isl.population[ia], &isl.population[ib]);
-                mutate(&mut isl.rng, &mut c1, config.mutation_rate);
-                mutate(&mut isl.rng, &mut c2, config.mutation_rate);
-                children.push(c1);
-                if children.len() < p {
-                    children.push(c2);
-                }
+        // Children: p new individuals per island from ceil(p / 2) random
+        // parent pairs. The calling thread draws each pair's parents from
+        // the island's own stream and skips the stream past the pair's
+        // breeding draws; one pool pass rebuilds every pair from its
+        // start state and scores its children where they were built
+        // (order-deterministic for every worker count).
+        let mut pairs = Vec::with_capacity(n_islands * p.div_ceil(2));
+        for (island, isl) in state.islands.iter_mut().enumerate() {
+            for j in 0..p.div_ceil(2) {
+                let parents = (isl.rng.gen_range(0..p), isl.rng.gen_range(0..p));
+                let start = isl.rng.clone();
+                skip_pair(
+                    &mut isl.rng,
+                    &isl.population[parents.0],
+                    &isl.population[parents.1],
+                    config.mutation_rate,
+                );
+                pairs.push(Pair {
+                    island,
+                    parents,
+                    start,
+                    end: isl.rng.state(),
+                    // An odd population keeps only the last pair's first
+                    // child.
+                    both: 2 * j + 1 < p,
+                });
             }
-            all_children.extend(children);
         }
-        let child_objectives = engine.evaluate_batch(&all_children);
+        let current = &state.islands;
+        let mut children = engine
+            .build_and_evaluate(pairs.len(), |i| {
+                let pair = &pairs[i];
+                let population = &current[pair.island].population;
+                let mut rng = pair.start.clone();
+                let (mut c1, mut c2) = recombine(
+                    &mut rng,
+                    &population[pair.parents.0],
+                    &population[pair.parents.1],
+                );
+                mutate(&mut rng, &mut c1, config.mutation_rate);
+                mutate(&mut rng, &mut c2, config.mutation_rate);
+                assert_eq!(
+                    rng.state(),
+                    pair.end,
+                    "skip_pair made other draws than recombine and mutate"
+                );
+                [Some(c1), pair.both.then_some(c2)].into_iter().flatten()
+            })
+            .into_iter();
 
         // Pool selection per island: keep the island's p best by
         // scalarized fitness over its own 2p pool.
-        let mut children_iter = all_children.into_iter();
-        for (k, isl) in state.islands.iter_mut().enumerate() {
-            isl.population.extend(children_iter.by_ref().take(p));
-            isl.objectives.extend_from_slice(&child_objectives[k * p..(k + 1) * p]);
+        for isl in &mut state.islands {
+            for (child, objectives) in children.by_ref().take(p) {
+                isl.population.push(child);
+                isl.objectives.push(objectives);
+            }
             let fitness = scalarize(&isl.objectives);
             let mut order: Vec<usize> = (0..isl.population.len()).collect();
             order.sort_by(|&x, &y| {
@@ -662,10 +709,21 @@ mod tests {
                         mutation_rate: rate,
                         ..config(21, threads)
                     };
-                    let islands = IslandConfig { count, interval: 2, migrants: 2 };
+                    let islands = IslandConfig {
+                        count,
+                        interval: 2,
+                        migrants: 2,
+                    };
                     run_hash(&evolve_islands(
-                        3, 3, &measured, &indiv, &cfg, &islands,
-                        IslandStart::Fresh(Vec::new()), true, None,
+                        3,
+                        3,
+                        &measured,
+                        &indiv,
+                        &cfg,
+                        &islands,
+                        IslandStart::Fresh(Vec::new()),
+                        true,
+                        None,
                     ))
                 })
                 .collect();

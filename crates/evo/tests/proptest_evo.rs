@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use pmevo_core::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping};
-use pmevo_evo::evolution::recombine;
+use pmevo_evo::evolution::{mutate, recombine, skip_pair};
 use pmevo_evo::{CongruencePartition, ExperimentGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,6 +26,37 @@ fn mapping_strategy(num_ports: usize, num_insts: usize) -> impl Strategy<Value =
                 })
                 .collect(),
         )
+    })
+}
+
+/// Two parents over one random machine of 1–16 ports and 1–6
+/// instructions, each instruction of 1–21 µop bundles with counts 1–30:
+/// the value ranges of `proptest_fitness`.
+fn parents_strategy() -> impl Strategy<Value = (ThreeLevelMapping, ThreeLevelMapping)> {
+    (1usize..=16, 1usize..=6).prop_flat_map(|(ports, insts)| {
+        let parent = move || {
+            proptest::collection::vec(
+                proptest::collection::vec((1u32..=30, 1u64..(1 << ports)), 1..=21),
+                insts,
+            )
+            .prop_map(move |decomp| {
+                ThreeLevelMapping::new(
+                    ports,
+                    decomp
+                        .into_iter()
+                        .map(|entries| {
+                            entries
+                                .into_iter()
+                                .map(|(n, mask)| {
+                                    pmevo_core::UopEntry::new(n, PortSet::from_mask(mask))
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                )
+            })
+        };
+        (parent(), parent())
     })
 }
 
@@ -147,6 +178,25 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// `skip_pair` leaves the stream exactly where `recombine` and two
+    /// `mutate` calls leave it, at every mutation rate the island loop
+    /// may run: the island loop asserts this for every pair it breeds.
+    #[test]
+    fn skip_pair_makes_exactly_the_breeding_draws(
+        (a, b) in parents_strategy(),
+        seed in 0u64..u64::MAX,
+    ) {
+        for rate in [0.0, 0.3, 1.0] {
+            let mut bred = StdRng::seed_from_u64(seed);
+            let (mut c1, mut c2) = recombine(&mut bred, &a, &b);
+            mutate(&mut bred, &mut c1, rate);
+            mutate(&mut bred, &mut c2, rate);
+            let mut skipped = StdRng::seed_from_u64(seed);
+            skip_pair(&mut skipped, &a, &b, rate);
+            prop_assert_eq!(skipped.state(), bred.state(), "mutation rate {}", rate);
         }
     }
 }
