@@ -331,7 +331,7 @@ pub(crate) fn zeta_and_max(sum: &mut [f64], k: usize) -> f64 {
 /// (`sum[q..q + b] += sum[q - b..q]` element-wise), which performs the
 /// same additions in the same ascending-`q` order as the textbook masked
 /// loop but without a data-dependent branch per element.
-pub(crate) fn zeta_transform(sum: &mut [f64], k: usize) {
+pub(crate) fn zeta_transform<T: Copy + std::ops::AddAssign>(sum: &mut [T], k: usize) {
     let size = 1usize << k;
     debug_assert_eq!(sum.len(), size);
     for bit in 0..k {

@@ -21,9 +21,10 @@
 //! same order with the same arithmetic, and the enumeration is literally
 //! the same function ([`kernel_from_compacted`]). The full-candidate
 //! entry point [`ThroughputSolver::predict_mapping`] may instead score
-//! every experiment from per-instruction subset-sum tables; there the
-//! bits match because every mass is an integer that is exact in `f64`
-//! (see `crate::factored`), not because of the addition order. The
+//! every experiment from per-instruction `f32` subset-sum tables; there
+//! the bits match because every mass is an integer of at most `2^24`,
+//! exact in `f32` (see `crate::factored`), not because of the addition
+//! order. The
 //! equivalence is enforced by unit tests here and a property test in
 //! `pmevo-evo`.
 
@@ -31,7 +32,7 @@ use crate::bottleneck_impl::{
     choose_strategy, kernel_from_compacted, kernel_with_strategy, masses_kernel,
     zeta_and_max_lanes, MassVector, Strategy, LANES, MAX_ENUMERABLE_PORTS, MAX_LANE_PORTS,
 };
-use crate::factored::{exact_in_f64, SubsetTables, MAX_FACTORED_PORTS};
+use crate::factored::{exact_in_f32, SubsetTables, MAX_FACTORED_PORTS};
 use crate::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping, MAX_PORTS};
 
 /// A measured experiment set compiled into dense, flat index form.
@@ -708,11 +709,11 @@ impl ThroughputSolver {
     ///
     /// This is the full-candidate entry point of the fitness loop. On
     /// machines of up to 12 ports whose subset masses are provably exact
-    /// `f64` integers (the largest row count-sum times the largest
-    /// per-instruction µop total is at most `2^53`), it builds one
+    /// `f32` integers (the largest row count-sum times the largest
+    /// per-instruction µop total is at most `2^24`), it builds one `f32`
     /// subset-sum table per instruction and scores every row from the
-    /// tables; integer sums up to `2^53` are exact in any order, so the
-    /// bits match the per-experiment kernel. Otherwise it runs
+    /// tables; integer sums up to `2^24` are exact in `f32` in any order,
+    /// so the bits match the per-experiment kernel. Otherwise it runs
     /// [`predict_all`](Self::predict_all). Allocation-free after warm-up.
     ///
     /// # Panics
@@ -746,7 +747,7 @@ impl ThroughputSolver {
     /// Whether [`predict_mapping`](Self::predict_mapping) may score the
     /// loaded mapping over `ports` ports from subset-sum tables: not on
     /// zero ports or more than [`MAX_FACTORED_PORTS`], and not when a
-    /// subset mass might not be an exact `f64` integer.
+    /// subset mass might not be an exact `f32` integer.
     fn factored_path_applies(&self, compiled: &CompiledExperiments, ports: usize) -> bool {
         if !(1..=MAX_FACTORED_PORTS).contains(&ports) {
             return false;
@@ -764,7 +765,7 @@ impl ThroughputSolver {
             })
             .max()
             .unwrap_or(0);
-        exact_in_f64(compiled.max_row_weight, max_uops)
+        exact_in_f32(compiled.max_row_weight, max_uops)
     }
 
     /// The relative prediction error `|t*_m(e) − t| / t` of compiled
@@ -963,16 +964,37 @@ mod tests {
         assert_eq!(solver.average_error(&compiled, &exact), 0.0);
     }
 
-    /// A µop count and a row count near `u32::MAX` make masses near
-    /// `2^64`, which are not all exact `f64` integers: `predict_mapping`
-    /// must take the per-experiment path, whose additions follow the
-    /// reference order, and match the reference mean
-    /// (`average_relative_error`'s arithmetic) bit for bit.
+    /// Masses beyond `2^24` are not all exact `f32` integers, so
+    /// `predict_mapping` must take the per-experiment path, whose
+    /// additions follow the reference order, and match the reference
+    /// mean (`average_relative_error`'s arithmetic) bit for bit. Masses
+    /// of at most `2^24` take the factored path, with the same bits.
     #[test]
     fn huge_counts_take_the_per_experiment_path_with_the_same_bits() {
-        // With these counts the first row's bottleneck {0, 1} rounds
-        // differently as `n·a + n·b` (the reference) and as `n·(a + b)`
-        // (a table sum), so only the guard keeps the bits.
+        // Checks the bits first, so that with the guard disabled the
+        // failure names the wrong prediction, then the path taken.
+        let check = |m: &ThreeLevelMapping, data: &[MeasuredExperiment], factored: bool| {
+            let sum: f64 = data
+                .iter()
+                .map(|me| (m.throughput(&me.experiment) - me.throughput).abs() / me.throughput)
+                .sum();
+            let reference = sum / data.len() as f64;
+            let compiled = CompiledExperiments::compile(data);
+            let mut solver = ThroughputSolver::new();
+            assert_eq!(
+                solver.average_error(&compiled, m).to_bits(),
+                reference.to_bits()
+            );
+            solver.load_mapping(&compiled, m);
+            assert_eq!(
+                solver.factored_path_applies(&compiled, m.num_ports()),
+                factored
+            );
+        };
+
+        // Masses near `2^64`. With these counts the first row's
+        // bottleneck {0, 1} rounds differently as `n·a + n·b` (the
+        // reference) and as `n·(a + b)` (a table sum).
         let huge = ThreeLevelMapping::new(
             3,
             vec![
@@ -983,7 +1005,7 @@ mod tests {
                 vec![uop(1, &[1, 2]), uop(5, &[2])],
             ],
         );
-        let data = vec![
+        let huge_rows = vec![
             MeasuredExperiment::new(
                 Experiment::from_counts(&[(InstId(0), u32::MAX - 693_980)]),
                 1.0,
@@ -991,31 +1013,39 @@ mod tests {
             MeasuredExperiment::new(Experiment::pair(InstId(0), 1, InstId(1), u32::MAX), 2.0),
             MeasuredExperiment::new(Experiment::singleton(InstId(1)), 0.5),
         ];
-        let reference = |m: &ThreeLevelMapping| -> f64 {
-            let sum: f64 = data
-                .iter()
-                .map(|me| (m.throughput(&me.experiment) - me.throughput).abs() / me.throughput)
-                .sum();
-            sum / data.len() as f64
-        };
-        let compiled = CompiledExperiments::compile(&data);
-        let mut solver = ThroughputSolver::new();
-        solver.load_mapping(&compiled, &huge);
-        assert!(!solver.factored_path_applies(&compiled, 3));
-        assert_eq!(
-            solver.average_error(&compiled, &huge).to_bits(),
-            reference(&huge).to_bits()
-        );
+        check(&huge, &huge_rows, false);
 
-        // The same rows under small µop counts stay below 2^53 and take
-        // the factored path, with the reference bits too.
-        let small = figure4_mapping();
-        solver.load_mapping(&compiled, &small);
-        assert!(solver.factored_path_applies(&compiled, 3));
-        assert_eq!(
-            solver.average_error(&compiled, &small).to_bits(),
-            reference(&small).to_bits()
+        // Odd masses just above `2^24`, which `f32` cannot hold:
+        // `2^24 + 1` alone and `2^24 + 3` with instruction 1's µops.
+        let above = ThreeLevelMapping::new(
+            3,
+            vec![
+                vec![uop((1 << 24) + 1, &[0])],
+                vec![uop(1, &[1]), uop(1, &[0, 1])],
+            ],
         );
+        let small_rows = vec![
+            MeasuredExperiment::new(Experiment::singleton(InstId(0)), 1.0),
+            MeasuredExperiment::new(Experiment::pair(InstId(0), 1, InstId(1), 1), 2.0),
+            MeasuredExperiment::new(Experiment::singleton(InstId(1)), 0.5),
+        ];
+        check(&above, &small_rows, false);
+
+        // Rows of count-sum `W = 2^23` under instructions of at most
+        // `T = 2` µops: `W · T = 2^24` is the largest bound the factored
+        // path takes.
+        let wide_rows = vec![
+            MeasuredExperiment::new(
+                Experiment::from_counts(&[(InstId(0), (1 << 23) - 693_980)]),
+                1.0,
+            ),
+            MeasuredExperiment::new(
+                Experiment::pair(InstId(0), 1, InstId(1), (1 << 23) - 1),
+                2.0,
+            ),
+            MeasuredExperiment::new(Experiment::singleton(InstId(1)), 0.5),
+        ];
+        check(&figure4_mapping(), &wide_rows, true);
     }
 
     #[test]

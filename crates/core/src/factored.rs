@@ -15,39 +15,41 @@
 //! the subsets — no per-experiment mass aggregation and no per-experiment
 //! zeta transform.
 //!
-//! **Invariant: integer masses.** Every `n_t` and every `count(u)` is a
-//! `u32`, so every table entry and every row sum is an integer. When the
-//! largest possible experiment mass fits in `2^53` (checked by the caller
-//! before it takes this path, see [`exact_in_f64`]), every one of those
-//! integers is exact in `f64` whatever the addition order, so each
-//! subset mass is the exact integer that the per-experiment kernel sums
-//! too, and both funnel through the same quotient tail. Subsets
-//! that include ports no µop of the experiment can use never raise the
-//! result: dropping those ports keeps the mass and shrinks `|Q|`, and
-//! rounded division is monotone. So every prediction has the bits of the
-//! per-experiment path, which enumerates the live ports only.
+//! **Invariant: small integer masses.** Every `n_t` and every `count(u)`
+//! is a `u32`, so every table entry, every product `n_t · Z` and every
+//! row sum is an integer. The tables hold `f32`: when the largest
+//! possible experiment mass fits in `2^24` (checked by the caller before
+//! it takes this path, see [`exact_in_f32`]), every one of those
+//! integers is exact in `f32` whatever the addition order. Each per-size
+//! maximum is widened to `f64`, so the quotient tail sees the exact
+//! integer the per-experiment kernel sums in `f64` too, and both funnel
+//! through the same [`best_quotient`]. Subsets that include ports no µop
+//! of the experiment can use never raise the result: dropping those
+//! ports keeps the mass and shrinks `|Q|`, and rounded division is
+//! monotone. So every prediction has the bits of the per-experiment
+//! path, which enumerates the live ports only.
 //!
 //! **Layout.** The `2^|P| − 1` non-empty subsets are grouped by size,
 //! each group zero-padded to a multiple of [`LANES`] slots, so every
-//! per-size maximum is a fixed-width `[f64; LANES]` loop (zero padding
+//! per-size maximum is a fixed-width `[f32; LANES]` loop (zero padding
 //! cannot raise a maximum of non-negative masses). On a 9-port machine
-//! the 511 subsets take 552 slots.
+//! the 511 subsets take 552 slots, 2.2 KiB per instruction.
 
 use crate::bottleneck_impl::{best_quotient, zeta_transform, LANES};
 use crate::PortSet;
 
-/// Widest machine the factored path serves: a table holds `2^|P|` slots
-/// per instruction, so 12 ports cost 32 KiB per instruction. Wider
+/// Widest machine the factored path serves: a table holds `2^|P|` `f32`
+/// slots per instruction, so 12 ports cost 16 KiB per instruction. Wider
 /// machines, and port-less ones, use the per-experiment kernel.
 pub(crate) const MAX_FACTORED_PORTS: usize = 12;
 
-/// Whether every subset mass of an experiment set is an exact `f64`
+/// Whether every subset mass of an experiment set is an exact `f32`
 /// integer: `max_row_weight` is the largest row count-sum `Σ_t n_t` and
 /// `max_uops` the largest per-instruction µop total `Σ_u count(u)`, so
-/// their product bounds every mass, and all integers up to `2^53` are
+/// their product bounds every mass, and all integers up to `2^24` are
 /// exact. Checked in `u128`, so it cannot overflow.
-pub(crate) fn exact_in_f64(max_row_weight: u64, max_uops: u64) -> bool {
-    u128::from(max_row_weight) * u128::from(max_uops) <= 1u128 << 53
+pub(crate) fn exact_in_f32(max_row_weight: u64, max_uops: u64) -> bool {
+    u128::from(max_row_weight) * u128::from(max_uops) <= 1u128 << 24
 }
 
 /// Reusable state of the factored kernel: the subset layout for one port
@@ -67,11 +69,11 @@ pub(crate) struct SubsetTables {
     stride: usize,
     /// Instruction-major tables: dense instruction `d` owns chunks
     /// `d * stride..(d + 1) * stride`. Padding slots stay zero.
-    tables: Vec<[f64; LANES]>,
+    tables: Vec<[f32; LANES]>,
     /// Mask-indexed buffer of the zeta build.
-    natural: Vec<f64>,
+    natural: Vec<f32>,
     /// Row sums of rows with three or more terms.
-    acc: Vec<[f64; LANES]>,
+    acc: Vec<[f32; LANES]>,
 }
 
 impl SubsetTables {
@@ -108,7 +110,8 @@ impl SubsetTables {
 
     /// Builds `Z_d` for every dense instruction `d` of a loaded mapping
     /// over `ports` ports: `offsets[d]..offsets[d + 1]` delimit its µops
-    /// in `uop_ports` and `counts`.
+    /// in `uop_ports` and `counts`. Every count must be an integer of at
+    /// most `2^24`, so the `f32` casts are exact.
     ///
     /// Per instruction the cheaper of two exact builds runs: a superset
     /// scatter (`Σ_u 2^(|P| − |u|)` additions) or a zeta transform over a
@@ -144,7 +147,7 @@ impl SubsetTables {
                     let mut extra = complement;
                     loop {
                         let s = self.slot_of[(mask | extra) as usize] as usize;
-                        table[s / LANES][s % LANES] += count;
+                        table[s / LANES][s % LANES] += count as f32;
                         if extra == 0 {
                             break;
                         }
@@ -155,7 +158,7 @@ impl SubsetTables {
                 let natural = &mut self.natural[..size];
                 natural.fill(0.0);
                 for (p, &count) in uop_ports[lo..hi].iter().zip(&counts[lo..hi]) {
-                    natural[p.mask() as usize] += count;
+                    natural[p.mask() as usize] += count as f32;
                 }
                 zeta_transform(natural, ports);
                 // Every real slot is overwritten; padding stays zero.
@@ -169,7 +172,8 @@ impl SubsetTables {
 
     /// Predicts one experiment row — dense instructions `insts` with
     /// multiplicities `counts` — from the tables of the last
-    /// [`build`](Self::build).
+    /// [`build`](Self::build). Every subset mass of the row must be an
+    /// integer of at most `2^24` (see [`exact_in_f32`]).
     pub(crate) fn predict_row(&mut self, insts: &[u32], counts: &[f64]) -> f64 {
         let ports = self.ports.expect("build precedes predict_row");
         let stride = self.stride;
@@ -182,15 +186,15 @@ impl SubsetTables {
                 let za = &self.tables[table(a)];
                 for c in 1..=ports {
                     let g = self.groups[c - 1]..self.groups[c];
-                    best_by_size[c] = counts[0] * group_max(&za[g]);
+                    best_by_size[c] = counts[0] * f64::from(group_max(&za[g]));
                 }
             }
             [a, b] => {
                 let (za, zb) = (&self.tables[table(a)], &self.tables[table(b)]);
-                let (na, nb) = (counts[0], counts[1]);
+                let (na, nb) = (counts[0] as f32, counts[1] as f32);
                 for c in 1..=ports {
                     let g = self.groups[c - 1]..self.groups[c];
-                    best_by_size[c] = pair_group_max(&za[g.clone()], na, &zb[g], nb);
+                    best_by_size[c] = f64::from(pair_group_max(&za[g.clone()], na, &zb[g], nb));
                 }
             }
             [a, b, ..] => {
@@ -199,13 +203,14 @@ impl SubsetTables {
                 }
                 let acc = &mut self.acc[..stride];
                 let (za, zb) = (&self.tables[table(a)], &self.tables[table(b)]);
-                let (na, nb) = (counts[0], counts[1]);
+                let (na, nb) = (counts[0] as f32, counts[1] as f32);
                 for ((s, x), y) in acc.iter_mut().zip(za).zip(zb) {
                     for l in 0..LANES {
                         s[l] = na * x[l] + nb * y[l];
                     }
                 }
                 for (&d, &n) in insts.iter().zip(counts).skip(2) {
+                    let n = n as f32;
                     for (s, z) in acc.iter_mut().zip(&self.tables[table(d)]) {
                         for l in 0..LANES {
                             s[l] += n * z[l];
@@ -213,7 +218,8 @@ impl SubsetTables {
                     }
                 }
                 for c in 1..=ports {
-                    best_by_size[c] = group_max(&acc[self.groups[c - 1]..self.groups[c]]);
+                    best_by_size[c] =
+                        f64::from(group_max(&acc[self.groups[c - 1]..self.groups[c]]));
                 }
             }
         }
@@ -230,8 +236,8 @@ fn prefers_scatter(ports: usize, uops: &[PortSet]) -> bool {
 }
 
 /// The largest slot of one size group.
-fn group_max(group: &[[f64; LANES]]) -> f64 {
-    let mut best = [0.0f64; LANES];
+fn group_max(group: &[[f32; LANES]]) -> f32 {
+    let mut best = [0.0f32; LANES];
     for z in group {
         for l in 0..LANES {
             best[l] = if z[l] > best[l] { z[l] } else { best[l] };
@@ -241,8 +247,8 @@ fn group_max(group: &[[f64; LANES]]) -> f64 {
 }
 
 /// The largest `na · a + nb · b` over the slots of one size group.
-fn pair_group_max(a: &[[f64; LANES]], na: f64, b: &[[f64; LANES]], nb: f64) -> f64 {
-    let mut best = [0.0f64; LANES];
+fn pair_group_max(a: &[[f32; LANES]], na: f32, b: &[[f32; LANES]], nb: f32) -> f32 {
+    let mut best = [0.0f32; LANES];
     for (x, y) in a.iter().zip(b) {
         for l in 0..LANES {
             let v = na * x[l] + nb * y[l];
@@ -252,7 +258,7 @@ fn pair_group_max(a: &[[f64; LANES]], na: f64, b: &[[f64; LANES]], nb: f64) -> f
     lane_max(best)
 }
 
-fn lane_max(lanes: [f64; LANES]) -> f64 {
+fn lane_max(lanes: [f32; LANES]) -> f32 {
     lanes
         .into_iter()
         .fold(0.0, |m, v| if v > m { v } else { m })
@@ -304,6 +310,7 @@ mod tests {
                         .filter(|&u| uop_ports[u].mask() & !q == 0)
                         .map(|u| counts[u])
                         .sum();
+                    let want = want as f32;
                     let s = t.slot_of[q as usize] as usize;
                     assert_eq!(t.tables[d * t.stride + s / LANES][s % LANES], want);
                 }
@@ -342,10 +349,15 @@ mod tests {
     }
 
     #[test]
-    fn exactness_guard_stops_at_two_to_the_53() {
-        assert!(exact_in_f64(1 << 26, 1 << 27));
-        assert!(!exact_in_f64(1 << 26, (1 << 27) + 1));
-        assert!(!exact_in_f64(u64::MAX, u64::MAX));
-        assert!(exact_in_f64(0, u64::MAX));
+    fn exactness_guard_stops_at_two_to_the_24() {
+        assert!(exact_in_f32(1 << 12, 1 << 12));
+        assert!(!exact_in_f32(1 << 12, (1 << 12) + 1));
+        assert!(exact_in_f32(1, 1 << 24));
+        assert!(!exact_in_f32(1, (1 << 24) + 1));
+        assert!(!exact_in_f32(u64::MAX, u64::MAX));
+        assert!(exact_in_f32(0, u64::MAX));
+        // The bound is tight: 2^24 + 1 is the first integer `f32` rounds.
+        assert_eq!((1u32 << 24) as f32 as u32, 1 << 24);
+        assert_ne!(((1u32 << 24) + 1) as f32 as u32, (1 << 24) + 1);
     }
 }
