@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn mapping_cache_roundtrip() {
         let p = platforms::a72();
-        let dir = std::env::temp_dir().join("pmevo-bench-test");
+        let dir = std::env::temp_dir().join(format!("pmevo-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.json");
         save_mapping(&path, p.ground_truth());
@@ -432,5 +432,6 @@ mod tests {
         assert_eq!(&m, p.ground_truth());
         // Mismatched platform is rejected.
         assert!(load_mapping(&path, &platforms::skl()).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1005,11 +1005,37 @@ mod tests {
         (0..n).map(|i| format!("inst_{i}")).collect()
     }
 
-    /// Writes a binary artifact into the test scratch dir.
-    fn scratch_bin(file: &str, names: &[String], m: &ThreeLevelMapping) -> String {
-        let dir = std::env::temp_dir().join("pmevo_store_tests");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join(file);
+    /// A directory private to one test of one test process, removed
+    /// when the test ends.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl ScratchDir {
+        fn new(test: &str) -> ScratchDir {
+            let dir =
+                std::env::temp_dir().join(format!("pmevo_store_{test}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            ScratchDir(dir)
+        }
+
+        fn path(&self, file: &str) -> std::path::PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Writes a binary artifact into a test's scratch dir.
+    fn scratch_bin(
+        dir: &ScratchDir,
+        file: &str,
+        names: &[String],
+        m: &ThreeLevelMapping,
+    ) -> String {
+        let path = dir.path(file);
         let artifact = MappingArtifact::new(names.to_vec(), m.clone());
         std::fs::write(&path, artifact.to_bytes()).expect("write artifact");
         path.to_str().unwrap().to_owned()
@@ -1144,11 +1170,10 @@ mod tests {
     #[test]
     fn file_registration_sniffs_both_formats() {
         let m = mapping(2, &[&[0], &[1]]);
-        let dir = std::env::temp_dir().join("pmevo_store_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json_path = dir.join("fmt.json");
+        let dir = ScratchDir::new("sniff");
+        let json_path = dir.path("fmt.json");
         std::fs::write(&json_path, m.to_json_pretty()).unwrap();
-        let bin_path = scratch_bin("fmt.bin", &names(2), &m);
+        let bin_path = scratch_bin(&dir, "fmt.bin", &names(2), &m);
 
         let mut store = MappingStore::new();
         let jn = names(2);
@@ -1175,7 +1200,8 @@ mod tests {
     #[test]
     fn failed_file_registration_leaves_the_store_untouched() {
         let m = mapping(1, &[&[0]]);
-        let bin = scratch_bin("atomic_v1.bin", &names(1), &m);
+        let dir = ScratchDir::new("atomic");
+        let bin = scratch_bin(&dir, "atomic_v1.bin", &names(1), &m);
         let mut store = MappingStore::new();
         store.insert_from_file("A", &bin, None).unwrap();
         let len = store.len();
@@ -1184,10 +1210,9 @@ mod tests {
         // Unreadable path, bad name, corrupt artifact, name mismatch:
         // none of them may insert an entry or burn a version.
         let other: Vec<String> = vec!["different".into()];
-        let wrong_names = scratch_bin("atomic_other.bin", &other, &m);
+        let wrong_names = scratch_bin(&dir, "atomic_other.bin", &other, &m);
         let corrupt = {
-            let dir = std::env::temp_dir().join("pmevo_store_tests");
-            let p = dir.join("atomic_corrupt.bin");
+            let p = dir.path("atomic_corrupt.bin");
             let mut bytes = MappingArtifact::new(names(1), m.clone()).to_bytes();
             let last = bytes.len() - 1;
             bytes[last] ^= 0xff;
@@ -1216,8 +1241,10 @@ mod tests {
     fn budgeted_store_evicts_lru_and_reloads_lazily() {
         let m = mapping(2, &[&[0], &[1], &[0, 1]]);
         let n = names(3);
-        let paths: Vec<String> =
-            (0..4).map(|i| scratch_bin(&format!("evict_{i}.bin"), &n, &m)).collect();
+        let dir = ScratchDir::new("evict");
+        let paths: Vec<String> = (0..4)
+            .map(|i| scratch_bin(&dir, &format!("evict_{i}.bin"), &n, &m))
+            .collect();
         let cost = payload_cost(&m);
         // Room for two payloads.
         let mut store = MappingStore::with_budget(Some(2 * cost));
@@ -1253,13 +1280,14 @@ mod tests {
     #[test]
     fn reload_failures_name_the_path_and_heal_on_retry() {
         let m = mapping(1, &[&[0]]);
-        let path = scratch_bin("heal.bin", &names(1), &m);
+        let dir = ScratchDir::new("heal");
+        let path = scratch_bin(&dir, "heal.bin", &names(1), &m);
         let mut store = MappingStore::with_budget(Some(0));
         let id = store.insert_from_file("H", &path, None).unwrap();
         // Budget 0: nothing stays resident except while in use — the
         // admit-time eviction pass spares only the current entry when it
         // is the sole one... which it is, so evict by inserting another.
-        let other = scratch_bin("heal_other.bin", &names(1), &m);
+        let other = scratch_bin(&dir, "heal_other.bin", &names(1), &m);
         store.insert_from_file("H2", &other, None).unwrap();
         assert!(!store.get(id).is_resident());
 
@@ -1277,7 +1305,8 @@ mod tests {
         let m = mapping(1, &[&[0]]);
         let mut store = MappingStore::with_budget(Some(1)); // absurdly small
         let pinned = store.insert("mem", names(1), m.clone());
-        let path = scratch_bin("pin_other.bin", &names(1), &m);
+        let dir = ScratchDir::new("pin");
+        let path = scratch_bin(&dir, "pin_other.bin", &names(1), &m);
         let filed = store.insert_from_file("file", &path, None).unwrap();
         let _ = store.get(filed).mapping().unwrap();
         // The in-memory entry survives any budget pressure.

@@ -7,7 +7,7 @@
 
 use pmevo_core::{Experiment, InstId, MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const NAMES: usize = 40;
 const VERSIONS: usize = 25;
@@ -61,11 +61,10 @@ fn fleet_mapping(name_idx: usize, version: usize) -> ThreeLevelMapping {
     ThreeLevelMapping::new(num_ports, decomp)
 }
 
-/// Writes the full 1000-artifact fleet to disk, returning
+/// Writes the full 1000-artifact fleet into `dir`, returning
 /// `paths[name_idx][version_idx]`.
-fn write_fleet() -> Vec<Vec<PathBuf>> {
-    let dir = std::env::temp_dir().join("pmevo_store_budget_test");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+fn write_fleet(dir: &Path) -> Vec<Vec<PathBuf>> {
+    std::fs::create_dir_all(dir).expect("scratch dir");
     (0..NAMES)
         .map(|n| {
             (0..VERSIONS)
@@ -124,7 +123,8 @@ fn answer(store: MappingStore, workers: usize, queries: &[(MappingId, Experiment
 
 #[test]
 fn thousand_mapping_store_under_budget_answers_bit_identically() {
-    let paths = write_fleet();
+    let dir = std::env::temp_dir().join(format!("pmevo_store_budget_test_{}", std::process::id()));
+    let paths = write_fleet(&dir);
 
     let reference_store = build_store(&paths, None);
     assert_eq!(reference_store.len(), NAMES * VERSIONS);
@@ -178,4 +178,5 @@ fn thousand_mapping_store_under_budget_answers_bit_identically() {
         resident < NAMES * VERSIONS,
         "not everything can be resident under a quarter budget"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -935,7 +935,8 @@ mod tests {
 
     #[test]
     fn reload_swaps_routing_mid_stream_and_drains_cleanly() {
-        let dir = std::env::temp_dir().join("pmevo_serve_reload_test");
+        let dir =
+            std::env::temp_dir().join(format!("pmevo_serve_reload_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let artifact = dir.join("tiny_v2.json");
         std::fs::write(&artifact, platforms::tiny().ground_truth().to_json_pretty()).unwrap();
@@ -978,11 +979,15 @@ mod tests {
         );
         server.stop();
         server.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn failed_reloads_are_atomic_and_name_the_path() {
-        let dir = std::env::temp_dir().join("pmevo_serve_reload_atomic_test");
+        let dir = std::env::temp_dir().join(format!(
+            "pmevo_serve_reload_atomic_test_{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let garbage = dir.join("garbage.bin");
         // Sniffs as a binary artifact, then fails to decode.
@@ -1031,6 +1036,7 @@ mod tests {
         );
         server.stop();
         server.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -122,10 +122,27 @@ mod tests {
     use super::*;
     use pmevo_core::MappingArtifact;
 
-    fn scratch(file: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("pmevo_serve_specs_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(file)
+    /// A directory private to one test of one test process, removed
+    /// when the test ends.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl ScratchDir {
+        fn new(test: &str) -> ScratchDir {
+            let dir = std::env::temp_dir()
+                .join(format!("pmevo_serve_specs_{test}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            ScratchDir(dir)
+        }
+
+        fn path(&self, file: &str) -> std::path::PathBuf {
+            self.0.join(file)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -158,7 +175,8 @@ mod tests {
 
     #[test]
     fn specs_load_and_shape_check_real_artifacts() {
-        let good = scratch("tiny.json");
+        let dir = ScratchDir::new("load");
+        let good = dir.path("tiny.json");
         std::fs::write(&good, platforms::tiny().ground_truth().to_json_pretty()).unwrap();
         let store =
             store_from_specs(&[format!("TINY={}", good.display())], None).expect("valid artifact");
@@ -178,7 +196,8 @@ mod tests {
         let tiny = platforms::tiny();
         let names: Vec<String> = tiny.isa().forms().iter().map(|f| f.name.clone()).collect();
         let artifact = MappingArtifact::new(names, tiny.ground_truth().clone());
-        let path = scratch("tiny_spec.bin");
+        let dir = ScratchDir::new("binary");
+        let path = dir.path("tiny_spec.bin");
         std::fs::write(&path, artifact.to_bytes()).unwrap();
 
         // Under the platform name the embedded table is verified.
@@ -191,7 +210,7 @@ mod tests {
 
         // A JSON artifact under a free name has no name table: refused
         // with a pointer at the binary format.
-        let json = scratch("tiny_spec.json");
+        let json = dir.path("tiny_spec.json");
         std::fs::write(&json, tiny.ground_truth().to_json_pretty()).unwrap();
         let err = store_from_specs(&[format!("FLEET7={}", json.display())], None).unwrap_err();
         assert!(err.contains("not a built-in platform"), "{err}");
@@ -203,7 +222,8 @@ mod tests {
         let tiny = platforms::tiny();
         let names: Vec<String> = tiny.isa().forms().iter().map(|f| f.name.clone()).collect();
         let artifact = MappingArtifact::new(names, tiny.ground_truth().clone());
-        let path = scratch("tiny_budget.bin");
+        let dir = ScratchDir::new("budget");
+        let path = dir.path("tiny_budget.bin");
         std::fs::write(&path, artifact.to_bytes()).unwrap();
 
         let specs = vec![
