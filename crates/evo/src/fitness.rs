@@ -465,6 +465,30 @@ mod tests {
     }
 
     #[test]
+    fn built_batches_come_back_in_index_order_for_every_thread_count() {
+        let exps: Vec<MeasuredExperiment> = (1..6)
+            .map(|n| {
+                MeasuredExperiment::new(Experiment::from_counts(&[(InstId(0), n)]), f64::from(n))
+            })
+            .collect();
+        // Index i builds i % 3 mappings, so some indices build none.
+        let build = |i: usize| {
+            (0..i % 3).map(move |k| mapping(vec![vec![uop(1 + (i + k) as u32, &[0, 1])]]))
+        };
+        let want: Vec<(ThreeLevelMapping, Objectives)> = (0..13)
+            .flat_map(build)
+            .map(|m| {
+                let o = FitnessEngine::new(&exps, 1).evaluate(&m);
+                (m, o)
+            })
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let got = FitnessEngine::new(&exps, threads).build_and_evaluate(13, build);
+            assert_eq!(got, want, "thread count {threads} changed results");
+        }
+    }
+
+    #[test]
     fn delta_update_matches_full_evaluation() {
         let exps = vec![
             MeasuredExperiment::new(Experiment::singleton(InstId(0)), 1.0),

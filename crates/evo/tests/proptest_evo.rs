@@ -31,15 +31,20 @@ fn mapping_strategy(num_ports: usize, num_insts: usize) -> impl Strategy<Value =
 
 /// Two parents over one random machine of 1–16 ports and 1–6
 /// instructions, each instruction of 1–21 µop bundles with counts 1–30:
-/// the value ranges of `proptest_fitness`.
+/// the value ranges of `proptest_fitness`. Half the instructions hold
+/// one or two single µops, so that one child often gets every µop of
+/// an instruction and `recombine` makes its repair draw.
 fn parents_strategy() -> impl Strategy<Value = (ThreeLevelMapping, ThreeLevelMapping)> {
     (1usize..=16, 1usize..=6).prop_flat_map(|(ports, insts)| {
         let parent = move || {
             proptest::collection::vec(
-                proptest::collection::vec((1u32..=30, 1u64..(1 << ports)), 1..=21),
+                prop_oneof![
+                    proptest::collection::vec((1u32..=1, 1u64..(1 << ports)), 1..=2),
+                    proptest::collection::vec((1u32..=30, 1u64..(1 << ports)), 1..=21),
+                ],
                 insts,
             )
-            .prop_map(move |decomp| {
+            .prop_map(move |decomp: Vec<Vec<(u32, u64)>>| {
                 ThreeLevelMapping::new(
                     ports,
                     decomp
