@@ -407,11 +407,10 @@ pub fn evolve_islands(
                 });
             }
         }
-        let current = &state.islands;
         let mut children = engine
             .build_and_evaluate(pairs.len(), |i| {
                 let pair = &pairs[i];
-                let population = &current[pair.island].population;
+                let population = &state.islands[pair.island].population;
                 let mut rng = pair.start.clone();
                 let (mut c1, mut c2) = recombine(
                     &mut rng,
