@@ -10,7 +10,8 @@
 //!
 //! The workload is fully seeded: for each mapping count the sweep
 //! generates that many synthetic binary artifacts (`.bin`, embedded
-//! name tables) in a scratch directory, registers them as evictable
+//! name tables) in a scratch directory of its own (removed when the
+//! sweep ends), registers them as evictable
 //! entries, and replays one seeded query stream — single worker, cache
 //! off, fixed batch size — against an unbudgeted store and against
 //! byte budgets at each percentage of the total payload size. Every
@@ -31,7 +32,7 @@ use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig, Residen
 use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// FNV-1a over the raw bits of every prediction, in query order: equal
@@ -68,11 +69,28 @@ fn synthetic_artifact(rng: &mut StdRng) -> MappingArtifact {
     MappingArtifact::new(names, mapping)
 }
 
-/// Writes `count` seeded artifacts into the scratch directory and
-/// returns their paths, in registration order.
-fn write_fleet(count: usize, seed: u64) -> Vec<PathBuf> {
-    let dir = std::env::temp_dir().join("pmevo_fig_store");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+/// The fleet's scratch directory: private to this process, so
+/// concurrent sweeps never share artifact files, and removed when the
+/// sweep ends.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new() -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("pmevo_fig_store_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes `count` seeded artifacts into `dir` and returns their paths,
+/// in registration order.
+fn write_fleet(dir: &Path, count: usize, seed: u64) -> Vec<PathBuf> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|i| {
@@ -188,8 +206,9 @@ fn main() {
         "mappings", "budget", "evictions", "reloads", "resident", "checksum", "q/s",
     ]);
     let mut rows = Vec::new();
+    let scratch = ScratchDir::new();
     for &count in &mappings_list {
-        let paths = write_fleet(count, seed);
+        let paths = write_fleet(&scratch.0, count, seed);
         let reference_store = build_store(&paths, None);
         let total_payload: u64 =
             reference_store.ids().map(|id| reference_store.get(id).payload_bytes()).sum();

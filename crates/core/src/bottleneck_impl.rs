@@ -14,11 +14,13 @@
 //!           (Σ { e(u) | Ports(u) ⊆ Q }) / |Q|
 //! ```
 //!
-//! [`throughput_fast`] aggregates masses per port-subset and then either
-//! enumerates only the *unions* of µop port sets (`Θ(d · 2^d)` for `d`
-//! distinct µops — the optimal bottleneck set is always such a union) or
-//! falls back to a subset-sum (zeta) transform over the live ports
-//! (`Θ(|P| · 2^|P|)` independent of the number of µops);
+//! [`throughput_fast`] aggregates masses per port-subset and then runs
+//! the cheapest of three exact strategies over the `k` live ports:
+//! enumerating only the *unions* of µop port sets (`Θ(d · 2^d)` for `d`
+//! distinct µops — the optimal bottleneck set is always such a union),
+//! scattering each mass to every superset of its port set
+//! (`Θ(Σ_i 2^(k − |mask_i|) + 2^k)`), or a subset-sum (zeta) transform
+//! (`Θ(k · 2^k)` independent of the number of µops);
 //! [`throughput_naive`] re-scans all µops for every
 //! subset (`Θ(2^|P|) · |µops|`) and exists as the ablation baseline;
 //! [`lp_throughput`] solves the linear program with the simplex solver and
@@ -78,9 +80,9 @@ impl MassVector {
     /// in practice a handful, bounded by the experiment's µop diversity,
     /// not by its total mass. The sorted order is also what makes
     /// structural equality semantic equality and keeps downstream
-    /// iteration deterministic. (The batched evaluation path in
-    /// [`crate::ThroughputSolver`] skips this merge entirely and
-    /// bucketizes masses straight into the zeta-transform array.)
+    /// iteration deterministic. (The compiled evaluation path in
+    /// [`crate::ThroughputSolver`] skips this type entirely and merges
+    /// compacted masks straight into its own sorted `entries` table.)
     ///
     /// # Panics
     ///
@@ -177,13 +179,9 @@ fn compact(masses: &MassVector, live: PortSet) -> Vec<(u32, f64)> {
         .collect()
 }
 
-/// The exact scalar strategies of the bottleneck kernel. The batch path
-/// ([`crate::ThroughputSolver::predict_batch`]) adds a fourth,
-/// lane-parallel variant of [`Strategy::Zeta`] ([`zeta_and_max_lanes`])
-/// that is bit-identical to the scalar zeta transform per lane, so the
-/// strategy *selection* stays a pure function of `(entries, k)`.
+/// The exact strategies of the bottleneck kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Strategy {
+enum Strategy {
     /// Union-closure enumeration, `Θ(d · 2^d)` for `d` distinct µops.
     UnionClosure,
     /// Superset scatter, `Θ(Σ_i 2^(k − |mask_i|) + 2^k)`.
@@ -202,19 +200,22 @@ pub(crate) enum Strategy {
 ///   the numerator and can only shrink `|Q|`), so enumerating the `2^d`
 ///   unions suffices. For the singleton and pair experiments of the
 ///   paper's experiment scheme `d` is 1–6 while machines have 8–10
-///   ports, making this the evolutionary hot path.
+///   ports, making this the common case.
 /// * **Superset scatter** (`Θ(Σ_i 2^(k − |mask_i|) + 2^k)`): add each
 ///   mass directly to every superset of its mask, then scan. Wins when
 ///   µops are moderately many but wide, so the subset lattice stays
 ///   sparse.
 /// * **Zeta transform** (`Θ(k · 2^k)`, independent of `d`) as the dense
-///   fallback — and the only strategy with a lane-parallel batch variant
-///   ([`zeta_and_max_lanes`]).
+///   fallback: it bounds a row of many narrow µops, where scatter alone
+///   can cost up to `3^k`.
 ///
-/// The choice is a pure function of `(entries, k)`, so every caller —
-/// scalar or batched — gets the same strategy, and the same bits, for
-/// the same input.
-pub(crate) fn choose_strategy(entries: &[(u32, f64)], k: usize) -> Strategy {
+/// The strategies add the same masses in different orders, so their
+/// bits are certain to agree only when every sum is exact (integer
+/// masses with a total of at most `2^53`, as in every three-level
+/// evaluation). The choice is therefore a pure function of
+/// `(entries, k)`: every caller gets the same strategy, and the same
+/// bits, for the same input.
+fn choose_strategy(entries: &[(u32, f64)], k: usize) -> Strategy {
     let d = entries.len();
     let size = 1usize << k;
     let zeta_cost = (k as u64 + 1) << k;
@@ -232,10 +233,10 @@ pub(crate) fn choose_strategy(entries: &[(u32, f64)], k: usize) -> Strategy {
     }
 }
 
-/// Runs one scalar strategy over compacted entries. `sum` and `unions`
-/// are caller-owned scratch so the hot path can reuse them
+/// Runs one strategy over compacted entries. `sum` and `unions` are
+/// caller-owned scratch so the hot path can reuse them
 /// ([`crate::ThroughputSolver`]); they are grown on demand.
-pub(crate) fn kernel_with_strategy(
+fn kernel_with_strategy(
     strategy: Strategy,
     entries: &[(u32, f64)],
     k: usize,
@@ -264,12 +265,13 @@ pub(crate) fn kernel_with_strategy(
                 extra = (extra - 1) & complement;
             }
         }
-        return max_quotient(sum, k);
+    } else {
+        for &(mask, mass) in entries {
+            sum[mask as usize] += mass;
+        }
+        zeta_transform(sum, k);
     }
-    for &(mask, mass) in entries {
-        sum[mask as usize] += mass;
-    }
-    zeta_and_max(sum, k)
+    max_quotient(sum, k)
 }
 
 /// Computes Equation 1 from compacted, distinct, ascending
@@ -288,7 +290,7 @@ pub(crate) fn kernel_from_compacted(
 /// subset `S` of the distinct µops, form `U = ⋃_{i ∈ S} mask_i`
 /// (incrementally, via the subset's lowest member) and score the mass
 /// contained in `U`. Division is deferred to one per subset *size* as in
-/// [`zeta_and_max`], which is exact because division by a positive
+/// [`max_quotient`], which is exact because division by a positive
 /// constant is monotone.
 fn union_closure_max(entries: &[(u32, f64)], k: usize, unions: &mut Vec<u32>) -> f64 {
     let d = entries.len();
@@ -317,13 +319,6 @@ fn union_closure_max(entries: &[(u32, f64)], k: usize, unions: &mut Vec<u32>) ->
     best_quotient(&best_by_size, k)
 }
 
-/// The dense strategy's tail: runs the zeta (subset-sum) transform in
-/// place over `sum` and returns the best quotient via [`max_quotient`].
-pub(crate) fn zeta_and_max(sum: &mut [f64], k: usize) -> f64 {
-    zeta_transform(sum, k);
-    max_quotient(sum, k)
-}
-
 /// The zeta (subset-sum) transform in place over the `2^k` masks of
 /// `sum`: afterwards `sum[Q] = Σ { mass(u) | ports(u) ⊆ Q }`.
 ///
@@ -345,66 +340,6 @@ pub(crate) fn zeta_transform<T: Copy + std::ops::AddAssign>(sum: &mut [T], k: us
             q += b << 1;
         }
     }
-}
-
-/// Lane width of the batched zeta kernel: how many same-`k` experiments
-/// solve in lockstep through one structure-of-arrays `sum` plane. Eight
-/// `f64` columns fill one 64-byte cache line and give the autovectorizer
-/// fixed-width inner loops (2×AVX2 / 4×SSE2 per step).
-pub(crate) const LANES: usize = 8;
-
-/// Ceiling on `k` for the lane-parallel zeta path: a plane is
-/// `2^k × LANES × 8` bytes, so `k = 16` caps it at 4 MiB. Larger-`k`
-/// experiments (never seen from the paper's 8–10-port machines) fall
-/// back to the scalar zeta kernel.
-pub(crate) const MAX_LANE_PORTS: usize = 16;
-
-/// The fourth kernel strategy: the zeta (subset-sum) transform of
-/// [`zeta_and_max`] run across [`LANES`] experiments in lockstep over a
-/// structure-of-arrays plane — `sum[q][l]` is subset `q` of lane `l`.
-///
-/// Per lane this performs *exactly* the additions of the scalar
-/// transform, in the same ascending-`q` order, and funnels each lane's
-/// per-size maxima through the same [`best_quotient`] — so each lane's
-/// result is bit-identical to a scalar [`Strategy::Zeta`] solve of the
-/// same entries. Callers must therefore only route experiments here
-/// whose [`choose_strategy`] is `Zeta`; substituting it for the other
-/// strategies would change floating-point association order.
-pub(crate) fn zeta_and_max_lanes(sum: &mut [[f64; LANES]], k: usize) -> [f64; LANES] {
-    let size = 1usize << k;
-    debug_assert_eq!(sum.len(), size);
-    for bit in 0..k {
-        let b = 1usize << bit;
-        let mut q = b;
-        while q < size {
-            let (lo, hi) = sum.split_at_mut(q);
-            for (dst, src) in hi[..b].iter_mut().zip(&lo[q - b..]) {
-                for l in 0..LANES {
-                    dst[l] += src[l];
-                }
-            }
-            q += b << 1;
-        }
-    }
-    let mut best_by_size = [[0.0f64; LANES]; MAX_ENUMERABLE_PORTS + 1];
-    for (q, s) in sum.iter().enumerate().skip(1) {
-        let c = q.count_ones() as usize;
-        let best = &mut best_by_size[c];
-        for l in 0..LANES {
-            if s[l] > best[l] {
-                best[l] = s[l];
-            }
-        }
-    }
-    let mut out = [0.0f64; LANES];
-    let mut column = [0.0f64; MAX_ENUMERABLE_PORTS + 1];
-    for (l, slot) in out.iter_mut().enumerate() {
-        for (c, row) in best_by_size.iter().enumerate() {
-            column[c] = row[l];
-        }
-        *slot = best_quotient(&column, k);
-    }
-    out
 }
 
 /// The best `sum[Q] / |Q|` over non-empty `Q`, with one division per
@@ -436,9 +371,9 @@ pub(crate) fn best_quotient(best_by_size: &[f64], k: usize) -> f64 {
 }
 
 /// Computes `t*_m(e)` with the bottleneck simulation algorithm: mass
-/// aggregation followed by either union-closure enumeration or the
-/// subset-sum transform (see `kernel_from_compacted` for the strategy
-/// choice — both are exact).
+/// aggregation followed by union-closure enumeration, superset scatter
+/// or the subset-sum transform, whichever is predicted to be cheapest
+/// (all three are exact; see `kernel_from_compacted`).
 ///
 /// Only the *live* ports (those usable by at least one µop with positive
 /// mass) are enumerated; dead ports can never belong to a bottleneck set
@@ -463,9 +398,9 @@ pub fn throughput_fast(masses: &MassVector) -> f64 {
 
 /// Compacts a (sorted, duplicate-free) [`MassVector`] over its live ports
 /// and runs [`kernel_from_compacted`] — the single compaction shared by
-/// [`throughput_fast`] (fresh scratch) and the ad-hoc paths of
-/// [`crate::ThroughputSolver`] (reused scratch), so their bit-identity
-/// cannot drift.
+/// [`throughput_fast`] (fresh scratch) and
+/// [`crate::ThroughputSolver::mapping_throughput`] (reused scratch), so
+/// their bit-identity cannot drift.
 ///
 /// # Panics
 ///
@@ -646,34 +581,66 @@ mod tests {
         assert_eq!(choose_strategy(&narrow, 6), Strategy::Zeta);
     }
 
-    /// Per lane, the lockstep zeta kernel reproduces the scalar zeta
-    /// kernel's bits exactly — on lanes with *different* contents.
+    /// The cost model may hand an input to any strategy, so all three
+    /// must return the same bits wherever every partial sum is exact:
+    /// integer masses with a total of at most `2^53`, which every
+    /// three-level evaluation yields (products of `u32` counts). Scaled
+    /// to fractions, the same inputs are the control: there the three
+    /// addition orders round differently.
     #[test]
-    fn lane_zeta_matches_scalar_zeta_bitwise() {
-        for k in 1..=6usize {
-            let size = 1usize << k;
-            let mut plane = vec![[0.0f64; LANES]; size];
-            let mut scalar_results = [0.0f64; LANES];
-            for (l, slot) in scalar_results.iter_mut().enumerate() {
-                let mut sum = vec![0.0f64; size];
-                // Deterministic, lane-distinct, irrational-ish masses.
-                for (q, s) in sum.iter_mut().enumerate() {
-                    if (q + l) % 3 != 0 {
-                        *s = ((q * 7 + l * 13 + 1) as f64) * 0.318_412_471_8;
-                        plane[q][l] = *s;
-                    }
-                }
-                *slot = zeta_and_max(&mut sum, k);
+    fn strategies_agree_bitwise_on_exact_integer_masses() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut sum, mut unions) = (Vec::new(), Vec::new());
+        let mut solve = |entries: &[(u32, f64)], k: usize| {
+            [Strategy::UnionClosure, Strategy::Scatter, Strategy::Zeta]
+                .map(|s| kernel_with_strategy(s, entries, k, &mut sum, &mut unions).to_bits())
+        };
+        let mut fractional_disagreements = 0;
+        for draw in 0..20_000usize {
+            let k = 1 + (next() % 10) as usize;
+            let full = (1u32 << k) - 1;
+            let mut masks: Vec<u32> = (0..1 + next() % 10)
+                .map(|_| 1 + (next() % u64::from(full)) as u32)
+                .collect();
+            // Every one of the `k` ports is live, as the callers compact.
+            let union = masks.iter().fold(0, |acc, &m| acc | m);
+            if union != full {
+                masks.push(full & !union);
             }
-            let lane_results = zeta_and_max_lanes(&mut plane, k);
-            for l in 0..LANES {
-                assert_eq!(
-                    lane_results[l].to_bits(),
-                    scalar_results[l].to_bits(),
-                    "lane {l} drifted from scalar zeta at k = {k}"
-                );
+            masks.sort_unstable();
+            masks.dedup();
+            // At most 11 masses of at most 2^49 each: the total stays
+            // below 2^53.
+            let bits = [3, 24, 49][draw % 3];
+            let integer: Vec<(u32, f64)> = masks
+                .iter()
+                .map(|&m| (m, (1 + (next() >> (64 - bits))) as f64))
+                .collect();
+            assert!(integer.iter().map(|&(_, x)| x).sum::<f64>() <= (1u64 << 53) as f64);
+            let [uc, sc, zt] = solve(&integer, k);
+            assert!(
+                uc == sc && sc == zt,
+                "strategies disagree on {integer:?} over {k} ports: {:?}",
+                [uc, sc, zt].map(f64::from_bits)
+            );
+            let fractional: Vec<(u32, f64)> = integer.iter().map(|&(m, x)| (m, x * 0.1)).collect();
+            let [uc, sc, zt] = solve(&fractional, k);
+            if uc != sc || sc != zt {
+                fractional_disagreements += 1;
             }
         }
+        assert!(
+            fractional_disagreements > 0,
+            "no fractional control input told the strategies apart"
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@
 //! `pmevo-evo`.
 
 use crate::bottleneck_impl::{
-    choose_strategy, kernel_from_compacted, kernel_with_strategy, masses_kernel,
-    zeta_and_max_lanes, MassVector, Strategy, LANES, MAX_ENUMERABLE_PORTS, MAX_LANE_PORTS,
+    kernel_from_compacted, masses_kernel, MassVector, MAX_ENUMERABLE_PORTS,
 };
 use crate::factored::{exact_in_f32, SubsetTables, MAX_FACTORED_PORTS};
 use crate::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping, MAX_PORTS};
@@ -247,7 +246,7 @@ impl CompiledExperiments {
 ///
 /// The solver owns five kinds of scratch:
 ///
-/// * the kernel buffers (zeta-transform window and union table, grown to
+/// * the kernel buffers (subset-sum buffer and union table, grown to
 ///   the largest sizes seen),
 /// * the compacted `(mask, mass)` aggregation table,
 /// * a [`MassVector`] for the ad-hoc [`mapping_throughput`] path,
@@ -273,18 +272,24 @@ impl CompiledExperiments {
 /// # Example
 ///
 /// ```
-/// use pmevo_core::bottleneck::{throughput_fast, MassVector};
-/// use pmevo_core::{PortSet, ThroughputSolver};
+/// use pmevo_core::{Experiment, InstId, PortSet, ThreeLevelMapping, ThroughputSolver, UopEntry};
 ///
-/// let mut mv = MassVector::new();
-/// mv.add(PortSet::from_ports(&[0, 1]), 2.0);
-/// mv.add(PortSet::from_ports(&[0]), 1.0);
+/// let m = ThreeLevelMapping::new(
+///     2,
+///     vec![
+///         vec![UopEntry::new(1, PortSet::from_ports(&[0, 1]))],
+///         vec![UopEntry::new(1, PortSet::from_ports(&[0]))],
+///     ],
+/// );
+/// let e = Experiment::pair(InstId(0), 2, InstId(1), 1);
 /// let mut solver = ThroughputSolver::new();
-/// assert_eq!(solver.throughput(&mv), throughput_fast(&mv));
+/// assert_eq!(solver.mapping_throughput(&m, &e), m.throughput(&e));
+/// assert_eq!(solver.mapping_throughput(&m, &e), 1.5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputSolver {
-    /// Zeta-transform buffer; only `sum[..1 << k]` is used per call.
+    /// Subset-sum buffer of the scatter and zeta strategies; only
+    /// `sum[..1 << k]` is used per call.
     sum: Vec<f64>,
     /// Union table of the union-closure strategy; `unions[..1 << d]`.
     unions: Vec<u32>,
@@ -303,25 +308,8 @@ pub struct ThroughputSolver {
     /// Tagged `(mask‖sequence, contribution)` pairs of the sort-merge
     /// aggregation path (see [`aggregate_row`](Self::aggregate_row)).
     agg_raw: Vec<(u64, f64)>,
-    /// Batch arena: the compacted entry lists of every slot in the
-    /// current [`predict_batch`](Self::predict_batch), concatenated.
-    batch_entries: Vec<(u32, f64)>,
-    /// Batch arena boundaries: slot `s` owns
-    /// `batch_entries[batch_offsets[s]..batch_offsets[s + 1]]`.
-    batch_offsets: Vec<u32>,
-    /// Live-port count per batch slot.
-    batch_k: Vec<u8>,
-    /// Scalar strategy chosen per batch slot (pure in `(entries, k)`).
-    batch_strategy: Vec<Strategy>,
-    /// Slots routed to the lane-parallel zeta kernel this batch.
-    batch_zeta: Vec<u32>,
-    /// Index scratch of [`predict_all`](Self::predict_all).
-    batch_indices: Vec<u32>,
     /// Prediction scratch of [`average_error`](Self::average_error).
     batch_out: Vec<f64>,
-    /// Structure-of-arrays zeta plane: `lane_sum[q][l]` is subset `q`
-    /// of the `l`-th experiment solving in lockstep.
-    lane_sum: Vec<[f64; LANES]>,
     /// Per-instruction subset-sum tables of the factored path.
     tables: SubsetTables,
 }
@@ -336,17 +324,6 @@ impl ThroughputSolver {
     /// Creates a solver with empty scratch buffers.
     pub fn new() -> Self {
         ThroughputSolver::default()
-    }
-
-    /// Computes `t*_m(e)` of a prepared mass vector; bit-identical to
-    /// [`throughput_fast`](crate::bottleneck::throughput_fast) but reuses
-    /// the solver's scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_ENUMERABLE_PORTS`] ports are live.
-    pub fn throughput(&mut self, masses: &MassVector) -> f64 {
-        masses_kernel(masses, &mut self.entries, &mut self.sum, &mut self.unions)
     }
 
     /// Computes `t*_m(e)` of `e` under `mapping` — the reusable-state
@@ -370,8 +347,8 @@ impl ThroughputSolver {
     /// Flattens `mapping`'s µop decompositions into the solver's dense
     /// tables, keyed by `compiled`'s dense instruction indices.
     ///
-    /// Subsequent [`predict`](Self::predict) /
-    /// [`relative_error`](Self::relative_error) calls evaluate against the
+    /// Subsequent [`predict`](Self::predict) and
+    /// [`predict_batch`](Self::predict_batch) calls evaluate against the
     /// loaded mapping; loading again replaces it. The flattening is
     /// amortized over the experiments evaluated per candidate and reuses
     /// the table allocations across candidates.
@@ -566,17 +543,8 @@ impl ThroughputSolver {
 
     /// Predicts the throughput of every compiled experiment in `indices`
     /// under the loaded mapping, into `out` (cleared first, parallel to
-    /// `indices`).
-    ///
-    /// Bit-identical to calling [`predict`](Self::predict) per index,
-    /// but batched: each experiment's compacted entries are aggregated
-    /// into an arena, and every experiment whose cost model picks the
-    /// zeta strategy (with `k` within the lane ceiling) is solved
-    /// `LANES` (8) at a time through the structure-of-arrays lane kernel —
-    /// same additions per lane, same order, same `best_quotient` funnel,
-    /// so the lockstep path cannot drift from the scalar one.
-    /// Union-closure and scatter selections, plus ragged zeta tails, run
-    /// the scalar kernels unchanged. Allocation-free after warm-up.
+    /// `indices`): [`predict`](Self::predict) per index, allocation-free
+    /// once `out` has grown to the batch size.
     ///
     /// # Panics
     ///
@@ -588,118 +556,19 @@ impl ThroughputSolver {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        out.resize(indices.len(), 0.0);
-        // Phase 1: aggregate every experiment into the batch arena and
-        // pin its (k, strategy) — strategy choice stays the pure
-        // function of `(entries, k)` that the scalar path uses.
-        self.batch_entries.clear();
-        self.batch_offsets.clear();
-        self.batch_k.clear();
-        self.batch_strategy.clear();
-        self.batch_offsets.push(0);
-        for &e in indices {
-            let k = self.aggregate_row(compiled, e as usize);
-            self.batch_entries.extend_from_slice(&self.entries);
-            self.batch_offsets.push(self.batch_entries.len() as u32);
-            self.batch_k.push(k as u8);
-            self.batch_strategy.push(choose_strategy(&self.entries, k));
-        }
-        // Phase 2: solve scalar-strategy slots immediately; collect the
-        // zeta slots that can coalesce into lanes.
-        self.batch_zeta.clear();
-        for slot in 0..indices.len() {
-            let k = self.batch_k[slot] as usize;
-            if k == 0 {
-                continue; // out[slot] is already 0.0
-            }
-            let strategy = self.batch_strategy[slot];
-            if strategy == Strategy::Zeta && k <= MAX_LANE_PORTS {
-                self.batch_zeta.push(slot as u32);
-                continue;
-            }
-            let (lo, hi) = (
-                self.batch_offsets[slot] as usize,
-                self.batch_offsets[slot + 1] as usize,
-            );
-            out[slot] = kernel_with_strategy(
-                strategy,
-                &self.batch_entries[lo..hi],
-                k,
-                &mut self.sum,
-                &mut self.unions,
-            );
-        }
-        // Phase 3: bucket the zeta slots by k (stable within a bucket:
-        // the composite key carries the slot) and run full LANES-wide
-        // chunks through the lockstep kernel, scalar zeta for the tail.
-        let mut zeta = std::mem::take(&mut self.batch_zeta);
-        zeta.sort_unstable_by_key(|&s| {
-            (u64::from(self.batch_k[s as usize]) << 32) | u64::from(s)
-        });
-        let mut i = 0;
-        while i < zeta.len() {
-            let k = self.batch_k[zeta[i] as usize] as usize;
-            let mut j = i + 1;
-            while j < zeta.len() && self.batch_k[zeta[j] as usize] as usize == k {
-                j += 1;
-            }
-            let run = &zeta[i..j];
-            let size = 1usize << k;
-            let mut c = 0;
-            while c + LANES <= run.len() {
-                let lanes = &run[c..c + LANES];
-                if self.lane_sum.len() < size {
-                    self.lane_sum.resize(size, [0.0; LANES]);
-                }
-                let plane = &mut self.lane_sum[..size];
-                plane.fill([0.0; LANES]);
-                for (l, &slot) in lanes.iter().enumerate() {
-                    let (lo, hi) = (
-                        self.batch_offsets[slot as usize] as usize,
-                        self.batch_offsets[slot as usize + 1] as usize,
-                    );
-                    for &(mask, mass) in &self.batch_entries[lo..hi] {
-                        plane[mask as usize][l] += mass;
-                    }
-                }
-                let results = zeta_and_max_lanes(plane, k);
-                for (l, &slot) in lanes.iter().enumerate() {
-                    out[slot as usize] = results[l];
-                }
-                c += LANES;
-            }
-            for &slot in &run[c..] {
-                let (lo, hi) = (
-                    self.batch_offsets[slot as usize] as usize,
-                    self.batch_offsets[slot as usize + 1] as usize,
-                );
-                out[slot as usize] = kernel_with_strategy(
-                    Strategy::Zeta,
-                    &self.batch_entries[lo..hi],
-                    k,
-                    &mut self.sum,
-                    &mut self.unions,
-                );
-            }
-            i = j;
-        }
-        self.batch_zeta = zeta;
+        out.extend(indices.iter().map(|&e| self.predict(compiled, e as usize)));
     }
 
     /// Predicts every compiled experiment under the loaded mapping, into
-    /// `out` (cleared first, indexed by experiment) — the batched
-    /// equivalent of looping [`predict`](Self::predict) over
-    /// `0..num_experiments()`, bit-identical per slot.
+    /// `out` (cleared first, indexed by experiment): [`predict`](Self::predict)
+    /// over `0..num_experiments()`.
     ///
     /// # Panics
     ///
     /// As for [`predict`](Self::predict).
     pub fn predict_all(&mut self, compiled: &CompiledExperiments, out: &mut Vec<f64>) {
-        let mut indices = std::mem::take(&mut self.batch_indices);
-        indices.clear();
-        indices.extend(0..compiled.num_experiments() as u32);
-        self.predict_batch(compiled, &indices, out);
-        self.batch_indices = indices;
+        out.clear();
+        out.extend((0..compiled.num_experiments()).map(|e| self.predict(compiled, e)));
     }
 
     /// Loads `mapping` (as [`load_mapping`](Self::load_mapping) does) and
@@ -768,18 +637,6 @@ impl ThroughputSolver {
         exact_in_f32(compiled.max_row_weight, max_uops)
     }
 
-    /// The relative prediction error `|t*_m(e) − t| / t` of compiled
-    /// experiment `e` under the loaded mapping.
-    ///
-    /// # Panics
-    ///
-    /// As for [`predict`](Self::predict).
-    pub fn relative_error(&mut self, compiled: &CompiledExperiments, e: usize) -> f64 {
-        let predicted = self.predict(compiled, e);
-        let t = compiled.measured(e);
-        (predicted - t).abs() / t
-    }
-
     /// Computes `D_avg(m)` over the compiled set: predicts every
     /// experiment through [`predict_mapping`](Self::predict_mapping) and
     /// averages the relative errors in experiment order — bit-identical
@@ -812,7 +669,6 @@ impl ThroughputSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bottleneck_impl::throughput_fast;
     use crate::UopEntry;
 
     fn ps(ports: &[usize]) -> PortSet {
@@ -887,27 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_throughput_matches_throughput_fast_bitwise() {
-        let cases: Vec<MassVector> = vec![
-            [(ps(&[0, 1]), 2.0), (ps(&[0]), 1.0), (ps(&[2]), 1.0)]
-                .into_iter()
-                .collect(),
-            [(ps(&[40, 63]), 2.0), (ps(&[40]), 1.0)].into_iter().collect(),
-            [(ps(&[0, 3]), 2.5), (ps(&[1, 3]), 0.5), (ps(&[0, 1]), 1.5)]
-                .into_iter()
-                .collect(),
-            MassVector::new(),
-        ];
-        let mut solver = ThroughputSolver::new();
-        for mv in &cases {
-            // Twice through the same solver: buffer reuse must not change
-            // anything.
-            assert_eq!(solver.throughput(mv).to_bits(), throughput_fast(mv).to_bits());
-            assert_eq!(solver.throughput(mv).to_bits(), throughput_fast(mv).to_bits());
-        }
-    }
-
-    #[test]
     fn solver_mapping_throughput_matches_ad_hoc_path() {
         let m = figure4_mapping();
         let mut solver = ThroughputSolver::new();
@@ -929,8 +764,9 @@ mod tests {
             let fast = solver.predict(&compiled, e);
             let naive = m.throughput(&me.experiment);
             assert_eq!(fast.to_bits(), naive.to_bits(), "mismatch on {}", me.experiment);
+            let t = compiled.measured(e);
             assert_eq!(
-                solver.relative_error(&compiled, e).to_bits(),
+                ((fast - t).abs() / t).to_bits(),
                 ((naive - me.throughput).abs() / me.throughput).to_bits()
             );
         }

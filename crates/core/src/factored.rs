@@ -35,8 +35,12 @@
 //! cannot raise a maximum of non-negative masses). On a 9-port machine
 //! the 511 subsets take 552 slots, 2.2 KiB per instruction.
 
-use crate::bottleneck_impl::{best_quotient, zeta_transform, LANES};
+use crate::bottleneck_impl::{best_quotient, zeta_transform};
 use crate::PortSet;
+
+/// Slots per chunk of a table: eight `f32`s make each per-size maximum a
+/// fixed-width inner loop the autovectorizer turns into packed compares.
+const LANES: usize = 8;
 
 /// Widest machine the factored path serves: a table holds `2^|P|` `f32`
 /// slots per instruction, so 12 ports cost 16 KiB per instruction. Wider

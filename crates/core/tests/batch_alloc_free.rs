@@ -1,8 +1,8 @@
 //! The batched solve path performs **zero heap allocations after
 //! warm-up**, like the scalar one: `predict_batch` / `predict_all` run
-//! entirely out of the solver's arena scratch once every buffer has
-//! grown to steady-state size — including the sort-merge aggregation
-//! path and the lane-parallel zeta plane.
+//! entirely out of the solver's scratch once every buffer has grown to
+//! steady-state size — including the sort-merge aggregation path and
+//! the zeta strategy's subset-sum buffer.
 //!
 //! The counter is a per-thread cell, so allocations by the libtest
 //! harness (which runs on its own threads) cannot leak into the measured
@@ -55,10 +55,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// A platform that drives every batch machinery piece at once: 12
-/// zeta-heavy instructions (full LANES chunk + ragged tail, and > 16
-/// µop contributions per row so the sort-merge aggregation path runs),
-/// plus narrow instructions whose singletons take union-closure.
+/// A platform that drives every piece of the solve path at once: 12
+/// zeta-heavy instructions (more than 16 µop contributions per row, so
+/// the sort-merge aggregation path runs), plus narrow instructions whose
+/// singletons take union-closure.
 fn workload() -> (ThreeLevelMapping, CompiledExperiments) {
     let mut decomps: Vec<Vec<UopEntry>> = Vec::new();
     for s in 0..12u32 {
@@ -96,8 +96,8 @@ fn batch_path_is_allocation_free_after_warmup() {
     let mut out = Vec::new();
     let mut all = Vec::new();
 
-    // Warm-up: grow the kernel scratch, the batch arena, the lane plane
-    // and the output vectors to steady-state size.
+    // Warm-up: grow the kernel and aggregation scratch and the output
+    // vectors to steady-state size.
     solver.load_mapping(&compiled, &mapping);
     for _ in 0..3 {
         solver.predict_batch(&compiled, &indices, &mut out);

@@ -407,8 +407,6 @@ impl Predictor {
         let workers = if n <= INLINE_MISS_MAX { 1 } else { solvers.len() };
         let solved = pool::map(&mut solvers[..workers], n, |solver, range| {
             solver.load_mapping(&compiled, &mapping);
-            // The batched solve coalesces same-k zeta experiments into the
-            // lane-parallel kernel; bit-identical to per-index `predict`.
             let indices: Vec<u32> = (range.start as u32..range.end as u32).collect();
             let mut out = Vec::with_capacity(range.len());
             solver.predict_batch(&compiled, &indices, &mut out);

@@ -62,8 +62,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Serves `stream` through a fresh predictor in `chunk`-sized batches —
 /// later batches can hit cache entries written by earlier ones, and the
-/// chunk size steers which miss path runs (single sequences, small and
-/// lane-coalesced batches on the calling thread, or more than 128 misses
+/// chunk size steers which miss path runs (single sequences and batches
+/// of up to 128 misses on the calling thread, or more than 128 misses
 /// across every worker).
 fn serve(
     mapping: &ThreeLevelMapping,
@@ -93,10 +93,9 @@ proptest! {
     /// skewed query streams, every (worker count × cache mode × batch
     /// size) serving configuration returns byte-for-byte the same
     /// answers as the naive reference path. Batch sizes 1, 7 and 64 solve
-    /// their misses on the calling thread, 64 through the lane-coalesced
-    /// lockstep solve; a 200-query batch of a stream longer than 128
-    /// queries starts with more than 128 misses, which the 2- and
-    /// 8-worker predictors split across their workers.
+    /// their misses on the calling thread; a 200-query batch of a stream
+    /// longer than 128 queries starts with more than 128 misses, which
+    /// the 2- and 8-worker predictors split across their workers.
     #[test]
     fn predictions_are_bit_identical_across_workers_and_cache_modes(
         mapping in mapping_strategy(),
