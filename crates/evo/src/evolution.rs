@@ -14,7 +14,11 @@
 //! ```
 //!
 //! The loop itself runs in [`crate::islands::evolve_islands`]; this
-//! module holds its configuration, its operators and the local search.
+//! module holds its configuration, its one operator and the local
+//! search. The operator comes in two halves: [`Crossover::draw`] makes
+//! every random choice of a child pair from the island's stream, and
+//! [`recombine`] builds the pair from those choices alone, so the draws
+//! stay on the calling thread and the building moves to the workers.
 
 use crate::fitness::{FitnessEngine, Objectives};
 use pmevo_core::{pool, InstId, ThreeLevelMapping, UopEntry};
@@ -33,10 +37,6 @@ pub struct EvoConfig {
     pub convergence_tol: f64,
     /// Patience for the convergence check.
     pub stall_generations: u32,
-    /// Per-instruction probability of a random µop mutation in children.
-    /// The paper eliminated mutation (0.0, the default); non-zero values
-    /// exist for the ablation bench.
-    pub mutation_rate: f64,
     /// Worker threads for breeding and scoring each generation's
     /// children, and for the initial population's scoring.
     pub num_threads: usize,
@@ -53,7 +53,6 @@ impl Default for EvoConfig {
             max_generations: 60,
             convergence_tol: 1e-6,
             stall_generations: 8,
-            mutation_rate: 0.0,
             num_threads: pool::available_workers(),
             local_search_passes: 4,
             seed: 0x90AD,
@@ -74,128 +73,108 @@ pub struct EvoResult {
     pub history: Vec<f64>,
 }
 
+/// The random choices of one binary recombination (paper §4.4), drawn
+/// apart from building the children: for each instruction, one side per
+/// µop of both parents, and the µop copied back where one child got
+/// every µop.
+///
+/// The island loop draws each pair's crossover from the island's stream
+/// on the calling thread, and [`recombine`] builds the children from it
+/// on a worker without a stream of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Crossover {
+    /// One side per µop, instruction by instruction, each instruction's
+    /// µops in the order of `a`'s entries and then `b`'s, an entry of
+    /// count `n` standing for `n` single µops: `true` sends the µop to
+    /// the first child.
+    to_a: Vec<bool>,
+    /// Per instruction, the index among its µops of the one copied back
+    /// into the child that got none of them.
+    repairs: Vec<Option<u32>>,
+}
+
+impl Crossover {
+    /// Draws the crossover of parents `a` and `b` from `rng`: per
+    /// instruction, one `bool` per µop and, where they all came out the
+    /// same, one index.
+    pub fn draw<R: Rng + ?Sized>(
+        rng: &mut R,
+        a: &ThreeLevelMapping,
+        b: &ThreeLevelMapping,
+    ) -> Crossover {
+        let n = a.num_insts();
+        let mut to_a = Vec::new();
+        let mut repairs = Vec::with_capacity(n);
+        for i in 0..n {
+            let id = InstId(i as u32);
+            let total = a.num_uops_of(id) as usize + b.num_uops_of(id) as usize;
+            let start = to_a.len();
+            to_a.extend((0..total).map(|_| rng.gen::<bool>()));
+            let in_a = to_a[start..].iter().filter(|&&side| side).count();
+            repairs.push(
+                (in_a == 0 || in_a == total).then(|| rng.gen_range(0..total) as u32),
+            );
+        }
+        Crossover { to_a, repairs }
+    }
+}
+
 /// Binary recombination (paper §4.4): for each instruction, the combined
-/// µop multiset of both parents is split randomly into the two children.
-/// A child that would receive no µop for an instruction steals one item
-/// back, keeping every individual well-formed.
-pub fn recombine<R: Rng + ?Sized>(
-    rng: &mut R,
+/// µop multiset of both parents is split into the two children as
+/// `crossover` says. A child that would receive no µop for an
+/// instruction gets a copy of the one `crossover` names, keeping every
+/// individual well-formed.
+///
+/// # Panics
+///
+/// Panics if `crossover` was not drawn for parents of `a`'s and `b`'s
+/// shape.
+pub fn recombine(
     a: &ThreeLevelMapping,
     b: &ThreeLevelMapping,
+    crossover: &Crossover,
 ) -> (ThreeLevelMapping, ThreeLevelMapping) {
-    let num_ports = a.num_ports();
     let n = a.num_insts();
+    assert_eq!(crossover.repairs.len(), n, "crossover drawn for other parents");
     let mut da = Vec::with_capacity(n);
     let mut db = Vec::with_capacity(n);
-    // Item pool, one item per µop occurrence of either parent, and each
-    // item's side; both reused across instructions.
-    let mut items: Vec<UopEntry> = Vec::new();
-    let mut to_a: Vec<bool> = Vec::new();
+    let mut offset = 0;
     for i in 0..n {
         let id = InstId(i as u32);
-        items.clear();
-        for e in a.decomposition(id).iter().chain(b.decomposition(id)) {
-            for _ in 0..e.count {
-                items.push(UopEntry::new(1, e.ports));
-            }
-        }
-        // Draw every side first (the draw order of one draw per item),
-        // so each child vector is allocated once at its final size.
-        to_a.clear();
-        to_a.extend(items.iter().map(|_| rng.gen::<bool>()));
+        let total = a.num_uops_of(id) as usize + b.num_uops_of(id) as usize;
+        let to_a = &crossover.to_a[offset..offset + total];
+        offset += total;
         let in_a = to_a.iter().filter(|&&side| side).count();
         let mut ca: Vec<UopEntry> = Vec::with_capacity(in_a.max(1));
-        let mut cb: Vec<UopEntry> = Vec::with_capacity((items.len() - in_a).max(1));
-        for (item, &side) in items.iter().zip(&to_a) {
-            if side {
-                ca.push(*item);
-            } else {
-                cb.push(*item);
+        let mut cb: Vec<UopEntry> = Vec::with_capacity((total - in_a).max(1));
+        let mut sides = to_a.iter();
+        for e in a.decomposition(id).iter().chain(b.decomposition(id)) {
+            let uop = UopEntry::new(1, e.ports);
+            for &side in sides.by_ref().take(e.count as usize) {
+                if side {
+                    ca.push(uop);
+                } else {
+                    cb.push(uop);
+                }
             }
         }
-        if ca.is_empty() {
-            ca.push(cb[rng.gen_range(0..cb.len())]);
-        }
-        if cb.is_empty() {
-            cb.push(ca[rng.gen_range(0..ca.len())]);
+        // The child holding every µop holds them in draw order, so the
+        // index names the same µop in it.
+        if let Some(k) = crossover.repairs[i] {
+            if ca.is_empty() {
+                ca.push(cb[k as usize]);
+            } else {
+                cb.push(ca[k as usize]);
+            }
         }
         da.push(ca);
         db.push(cb);
     }
+    assert_eq!(offset, crossover.to_a.len(), "crossover drawn for other parents");
     (
-        ThreeLevelMapping::new(num_ports, da),
-        ThreeLevelMapping::new(num_ports, db),
+        ThreeLevelMapping::new(a.num_ports(), da),
+        ThreeLevelMapping::new(a.num_ports(), db),
     )
-}
-
-/// Optional mutation operator (ablation only): with probability
-/// `rate` per instruction, resample one µop's port set.
-pub fn mutate<R: Rng + ?Sized>(rng: &mut R, m: &mut ThreeLevelMapping, rate: f64) {
-    if rate <= 0.0 {
-        return;
-    }
-    let num_ports = m.num_ports();
-    let full = pmevo_core::PortSet::first_n(num_ports).mask();
-    for i in 0..m.num_insts() {
-        if rng.gen::<f64>() < rate {
-            let id = InstId(i as u32);
-            let mut entries = m.decomposition(id).to_vec();
-            let idx = rng.gen_range(0..entries.len());
-            let ports = loop {
-                let mask = rng.gen::<u64>() & full;
-                if mask != 0 {
-                    break pmevo_core::PortSet::from_mask(mask);
-                }
-            };
-            entries[idx] = UopEntry::new(entries[idx].count, ports);
-            m.set_decomposition(id, entries);
-        }
-    }
-}
-
-/// Advances `rng` past one child pair's breeding without building it:
-/// afterwards `rng` is where [`recombine`] of `a` and `b` followed by
-/// [`mutate`] of both children at `rate` would have left it.
-///
-/// This must make exactly their draws, in their order. The island loop
-/// skips each pair's draws on the calling thread and rebuilds the pair
-/// from its start state on a worker, asserting that the rebuild ends
-/// where the skip did.
-pub fn skip_pair<R: Rng + ?Sized>(
-    rng: &mut R,
-    a: &ThreeLevelMapping,
-    b: &ThreeLevelMapping,
-    rate: f64,
-) {
-    for i in 0..a.num_insts() {
-        let id = InstId(i as u32);
-        // `recombine`: one side per µop of both parents, and the repair
-        // draw when one child got every µop.
-        let total = a.num_uops_of(id) as usize + b.num_uops_of(id) as usize;
-        let in_a = (0..total).filter(|_| rng.gen::<bool>()).count();
-        if in_a == 0 || in_a == total {
-            rng.gen_range(0..total);
-        }
-    }
-    for _child in 0..2 {
-        skip_mutate(rng, a.num_insts(), a.num_ports(), rate);
-    }
-}
-
-/// The draws of [`mutate`] on a mapping of `num_insts` instructions over
-/// `num_ports` ports.
-fn skip_mutate<R: Rng + ?Sized>(rng: &mut R, num_insts: usize, num_ports: usize, rate: f64) {
-    if rate <= 0.0 {
-        return;
-    }
-    let full = pmevo_core::PortSet::first_n(num_ports).mask();
-    for _ in 0..num_insts {
-        if rng.gen::<f64>() < rate {
-            // The µop index: `gen_range` draws one word whatever its span.
-            rng.next_u64();
-            while rng.gen::<u64>() & full == 0 {}
-        }
-    }
 }
 
 /// Greedy hill climbing on µop multiplicities (paper §4.4): for every
@@ -339,7 +318,8 @@ mod tests {
         let a = ThreeLevelMapping::new(3, vec![vec![uop(2, &[0]), uop(1, &[1, 2])]]);
         let b = ThreeLevelMapping::new(3, vec![vec![uop(3, &[2])]]);
         for _ in 0..50 {
-            let (c1, c2) = recombine(&mut rng, &a, &b);
+            let crossover = Crossover::draw(&mut rng, &a, &b);
+            let (c1, c2) = recombine(&a, &b, &crossover);
             let items = |m: &ThreeLevelMapping| m.num_uops_of(InstId(0));
             // Items may be duplicated only by the non-empty repair.
             let total = items(&c1) + items(&c2);
@@ -395,24 +375,6 @@ mod tests {
         let after = hill_climb(&mut broken, &mut engine, 5);
         assert!(after.error < before.error);
         assert!(after.error < 1e-9, "hill climbing should reach exactness");
-    }
-
-    #[test]
-    fn mutation_rate_zero_is_a_no_op() {
-        let (gt, ..) = toy_problem();
-        let mut m = gt.clone();
-        let mut rng = StdRng::seed_from_u64(5);
-        mutate(&mut rng, &mut m, 0.0);
-        assert_eq!(m, gt);
-        // And a rate of 1.0 changes something (with high probability).
-        let mut changed = false;
-        for seed in 0..8 {
-            let mut m2 = gt.clone();
-            let mut rng = StdRng::seed_from_u64(seed);
-            mutate(&mut rng, &mut m2, 1.0);
-            changed |= m2 != gt;
-        }
-        assert!(changed);
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //!   the classic single-population loop and reproduces it bit for bit.
 //! * **Lockstep generations, one shared pool** — each generation is one
 //!   pass over the worker pool for every island's children. The calling
-//!   thread draws each child pair's parents and skips the island's
-//!   stream past the pair's breeding draws with [`skip_pair`], recording
-//!   the stream's state before and after. One
-//!   [`FitnessEngine::build_and_evaluate`] call then rebuilds every pair
-//!   from its start state with [`recombine`] and [`mutate`] on the
-//!   workers, asserts that each rebuild ends at the recorded state, and
-//!   scores the children where they were built. Results come back in
-//!   pair order for every worker count, so island results never depend
-//!   on thread scheduling.
+//!   thread draws each child pair's parents and its [`Crossover`] from
+//!   the island's stream, so every draw happens there, in pair order.
+//!   One [`FitnessEngine::build_and_evaluate`] call then builds every
+//!   pair from its recorded crossover with [`recombine`] on the workers,
+//!   which draw nothing, and scores the children where they were built.
+//!   Results come back in pair order for every worker count, so island
+//!   results never depend on thread scheduling.
 //! * **Deterministic migration** — every
 //!   [`IslandConfig::interval`] generations, each island sends clones of
 //!   its [`IslandConfig::migrants`] best individuals (stable
@@ -35,7 +33,7 @@
 //! to and from [`pmevo_core::checkpoint::EvoCheckpoint`] — the basis of
 //! the session checkpoint/resume feature (see [`crate::pipeline`]).
 
-use crate::evolution::{hill_climb, mutate, recombine, skip_pair, EvoConfig, EvoResult};
+use crate::evolution::{hill_climb, recombine, Crossover, EvoConfig, EvoResult};
 use crate::fitness::{scalarize, FitnessEngine, Objectives};
 use pmevo_core::checkpoint::{EvoCheckpoint, IslandCheckpoint};
 use pmevo_core::{MeasuredExperiment, ThreeLevelMapping};
@@ -43,13 +41,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One child pair of a generation, as the calling thread drew it: the
-/// island, the parents' indices in its population, and the island
-/// stream's states before and after the pair's breeding draws.
+/// island, the parents' indices in its population, and the crossover.
 struct Pair {
     island: usize,
     parents: (usize, usize),
-    start: StdRng,
-    end: [u64; 4],
+    crossover: Crossover,
     /// Whether the pair keeps its second child.
     both: bool,
 }
@@ -380,27 +376,23 @@ pub fn evolve_islands(
             break;
         }
         // Children: p new individuals per island from ceil(p / 2) random
-        // parent pairs. The calling thread draws each pair's parents from
-        // the island's own stream and skips the stream past the pair's
-        // breeding draws; one pool pass rebuilds every pair from its
-        // start state and scores its children where they were built
+        // parent pairs. The calling thread draws each pair's parents and
+        // crossover from the island's own stream; one pool pass builds
+        // every pair and scores its children where they were built
         // (order-deterministic for every worker count).
         let mut pairs = Vec::with_capacity(n_islands * p.div_ceil(2));
         for (island, isl) in state.islands.iter_mut().enumerate() {
             for j in 0..p.div_ceil(2) {
                 let parents = (isl.rng.gen_range(0..p), isl.rng.gen_range(0..p));
-                let start = isl.rng.clone();
-                skip_pair(
+                let crossover = Crossover::draw(
                     &mut isl.rng,
                     &isl.population[parents.0],
                     &isl.population[parents.1],
-                    config.mutation_rate,
                 );
                 pairs.push(Pair {
                     island,
                     parents,
-                    start,
-                    end: isl.rng.state(),
+                    crossover,
                     // An odd population keeps only the last pair's first
                     // child.
                     both: 2 * j + 1 < p,
@@ -411,18 +403,10 @@ pub fn evolve_islands(
             .build_and_evaluate(pairs.len(), |i| {
                 let pair = &pairs[i];
                 let population = &state.islands[pair.island].population;
-                let mut rng = pair.start.clone();
-                let (mut c1, mut c2) = recombine(
-                    &mut rng,
+                let (c1, c2) = recombine(
                     &population[pair.parents.0],
                     &population[pair.parents.1],
-                );
-                mutate(&mut rng, &mut c1, config.mutation_rate);
-                mutate(&mut rng, &mut c2, config.mutation_rate);
-                assert_eq!(
-                    rng.state(),
-                    pair.end,
-                    "skip_pair made other draws than recombine and mutate"
+                    &pair.crossover,
                 );
                 [Some(c1), pair.both.then_some(c2)].into_iter().flatten()
             })

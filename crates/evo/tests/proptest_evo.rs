@@ -1,9 +1,9 @@
 //! Property tests for the inference engine: experiment generation,
-//! congruence partitioning and the evolutionary operators.
+//! congruence partitioning and recombination.
 
 use proptest::prelude::*;
 use pmevo_core::{Experiment, InstId, MeasuredExperiment, PortSet, ThreeLevelMapping};
-use pmevo_evo::evolution::{mutate, recombine, skip_pair};
+use pmevo_evo::evolution::{recombine, Crossover};
 use pmevo_evo::{CongruencePartition, ExperimentGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,7 +33,7 @@ fn mapping_strategy(num_ports: usize, num_insts: usize) -> impl Strategy<Value =
 /// instructions, each instruction of 1–21 µop bundles with counts 1–30:
 /// the value ranges of `proptest_fitness`. Half the instructions hold
 /// one or two single µops, so that one child often gets every µop of
-/// an instruction and `recombine` makes its repair draw.
+/// an instruction and the crossover names a µop to copy back.
 fn parents_strategy() -> impl Strategy<Value = (ThreeLevelMapping, ThreeLevelMapping)> {
     (1usize..=16, 1usize..=6).prop_flat_map(|(ports, insts)| {
         let parent = move || {
@@ -154,19 +154,21 @@ proptest! {
 
     /// Recombination always produces structurally valid children: every
     /// instruction keeps at least one µop, all port sets stay within the
-    /// machine, and no new port sets are invented.
+    /// machine, no new port sets are invented, and the two children
+    /// together hold the parents' µops, plus one where one child got
+    /// them all and the other a copy back.
     #[test]
     fn recombination_children_are_valid(
-        a in mapping_strategy(5, 6),
-        b in mapping_strategy(5, 6),
-        seed in 0u64..1000,
+        (a, b) in parents_strategy(),
+        seed in 0u64..u64::MAX,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (c1, c2) = recombine(&mut rng, &a, &b);
+        let crossover = Crossover::draw(&mut rng, &a, &b);
+        let (c1, c2) = recombine(&a, &b, &crossover);
         for child in [&c1, &c2] {
-            prop_assert_eq!(child.num_insts(), 6);
-            prop_assert_eq!(child.num_ports(), 5);
-            for i in 0..6u32 {
+            prop_assert_eq!(child.num_insts(), a.num_insts());
+            prop_assert_eq!(child.num_ports(), a.num_ports());
+            for i in 0..a.num_insts() as u32 {
                 let id = InstId(i);
                 prop_assert!(child.num_uops_of(id) >= 1, "instruction {id} lost all µops");
                 let parent_sets: Vec<PortSet> = a
@@ -184,24 +186,14 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// `skip_pair` leaves the stream exactly where `recombine` and two
-    /// `mutate` calls leave it, at every mutation rate the island loop
-    /// may run: the island loop asserts this for every pair it breeds.
-    #[test]
-    fn skip_pair_makes_exactly_the_breeding_draws(
-        (a, b) in parents_strategy(),
-        seed in 0u64..u64::MAX,
-    ) {
-        for rate in [0.0, 0.3, 1.0] {
-            let mut bred = StdRng::seed_from_u64(seed);
-            let (mut c1, mut c2) = recombine(&mut bred, &a, &b);
-            mutate(&mut bred, &mut c1, rate);
-            mutate(&mut bred, &mut c2, rate);
-            let mut skipped = StdRng::seed_from_u64(seed);
-            skip_pair(&mut skipped, &a, &b, rate);
-            prop_assert_eq!(skipped.state(), bred.state(), "mutation rate {}", rate);
+        for i in 0..a.num_insts() as u32 {
+            let id = InstId(i);
+            let parents = a.num_uops_of(id) + b.num_uops_of(id);
+            let children = c1.num_uops_of(id) + c2.num_uops_of(id);
+            prop_assert!(
+                children == parents || children == parents + 1,
+                "instruction {id}: the parents hold {parents} µops, the children {children}"
+            );
         }
     }
 }
