@@ -77,8 +77,8 @@ pub use infer::{InferenceAlgorithm, InferredMapping};
 pub use mapping::{MappingJsonError, ThreeLevelMapping, TwoLevelMapping, UopEntry};
 pub use ports::{PortId, PortSet, PortSetIter, MAX_PORTS};
 pub use predict::{
-    parse_control, parse_sequence, prediction_agreement, ControlVerb, MappingPredictor,
-    SequenceParseError, ServeRecord, ThroughputPredictor,
+    parse_control, parse_sequence, ControlVerb, MappingPredictor, SequenceParseError,
+    ServeRecord, ThroughputPredictor,
 };
 pub use selection::{MeasurementBudget, RoundStats, SelectionPolicy};
 

@@ -85,11 +85,6 @@ impl TwoLevelMapping {
         self.ports_of[inst.index()]
     }
 
-    /// The per-instruction port sets, indexed by instruction id.
-    pub fn all_ports(&self) -> &[PortSet] {
-        &self.ports_of
-    }
-
     /// The optimal-scheduler throughput `t*_m(e)` of `e` under this
     /// mapping, computed with the bottleneck simulation algorithm.
     ///

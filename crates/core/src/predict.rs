@@ -3,7 +3,7 @@
 //! layer.
 
 use crate::json::{self, Value};
-use crate::{Experiment, InstId, ThreeLevelMapping, ThroughputSolver, TwoLevelMapping};
+use crate::{Experiment, InstId, ThreeLevelMapping, ThroughputSolver};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -64,17 +64,6 @@ impl MappingPredictor {
         }
     }
 
-    /// Wraps a two-level mapping by lifting every instruction to a single
-    /// µop executable on its port set.
-    pub fn from_two_level(name: impl Into<String>, mapping: &TwoLevelMapping) -> Self {
-        let decomp = mapping
-            .all_ports()
-            .iter()
-            .map(|&ps| vec![crate::UopEntry::new(1, ps)])
-            .collect();
-        MappingPredictor::new(name, ThreeLevelMapping::new(mapping.num_ports(), decomp))
-    }
-
     /// The underlying mapping.
     pub fn mapping(&self) -> &ThreeLevelMapping {
         &self.mapping
@@ -89,35 +78,6 @@ impl ThroughputPredictor for MappingPredictor {
     fn name(&self) -> &str {
         &self.name
     }
-}
-
-/// Mean relative disagreement between two predictors over a probe set:
-/// `mean(|a(e) − b(e)| / max(a(e), b(e)))`, in `[0, 1)`.
-///
-/// Port mappings are not uniquely determined by throughputs (paper
-/// §4.4), so inferred and ground-truth mappings are compared by
-/// *behavioural* agreement rather than structural equality. A value of
-/// 0 means the mappings are throughput-equivalent on the probe set.
-///
-/// # Panics
-///
-/// Panics if `experiments` is empty or a prediction is not positive.
-pub fn prediction_agreement(
-    a: &dyn ThroughputPredictor,
-    b: &dyn ThroughputPredictor,
-    experiments: &[Experiment],
-) -> f64 {
-    assert!(!experiments.is_empty(), "empty probe set");
-    let sum: f64 = experiments
-        .iter()
-        .map(|e| {
-            let ta = a.predict(e);
-            let tb = b.predict(e);
-            assert!(ta > 0.0 && tb > 0.0, "non-positive prediction");
-            (ta - tb).abs() / ta.max(tb)
-        })
-        .sum();
-    sum / experiments.len() as f64
 }
 
 /// Why a line of the sequence grammar could not be parsed — see
@@ -371,7 +331,7 @@ pub fn parse_control(line: &str) -> Option<Result<ControlVerb, String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InstId, PortSet, UopEntry};
+    use crate::{InstId, PortSet, TwoLevelMapping, UopEntry};
 
     #[test]
     fn two_level_lift_matches_two_level_throughput() {
@@ -383,7 +343,11 @@ mod tests {
                 PortSet::from_ports(&[2]),
             ],
         );
-        let p = MappingPredictor::from_two_level("lifted", &two);
+        // Lift every instruction to one µop on its port set.
+        let lifted = (0..two.num_insts())
+            .map(|i| vec![UopEntry::new(1, two.ports_of(InstId(i as u32)))])
+            .collect();
+        let p = MappingPredictor::new("lifted", ThreeLevelMapping::new(3, lifted));
         for e in [
             Experiment::singleton(InstId(0)),
             Experiment::pair(InstId(0), 1, InstId(1), 2),
@@ -391,56 +355,6 @@ mod tests {
         ] {
             assert!((p.predict(&e) - two.throughput(&e)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn agreement_is_zero_for_equivalent_mappings() {
-        // Structurally different but throughput-equivalent: {0,1} as one
-        // µop vs the congruent twin instruction.
-        let m1 = ThreeLevelMapping::new(
-            2,
-            vec![vec![UopEntry::new(1, PortSet::from_ports(&[0, 1]))]],
-        );
-        let a = MappingPredictor::new("a", m1.clone());
-        let b = MappingPredictor::new("b", m1);
-        let probes = vec![
-            Experiment::singleton(InstId(0)),
-            Experiment::from_counts(&[(InstId(0), 5)]),
-        ];
-        assert_eq!(prediction_agreement(&a, &b, &probes), 0.0);
-    }
-
-    #[test]
-    fn agreement_is_symmetric_and_bounded() {
-        let m1 = ThreeLevelMapping::new(
-            2,
-            vec![vec![UopEntry::new(1, PortSet::from_ports(&[0]))]],
-        );
-        let m2 = ThreeLevelMapping::new(
-            2,
-            vec![vec![UopEntry::new(3, PortSet::from_ports(&[0]))]],
-        );
-        let a = MappingPredictor::new("a", m1);
-        let b = MappingPredictor::new("b", m2);
-        let probes = vec![Experiment::singleton(InstId(0))];
-        let d1 = prediction_agreement(&a, &b, &probes);
-        let d2 = prediction_agreement(&b, &a, &probes);
-        assert_eq!(d1, d2);
-        assert!((0.0..1.0).contains(&d1));
-        // 1 vs 3 cycles: |1-3|/3 = 2/3.
-        assert!((d1 - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty probe set")]
-    fn agreement_rejects_empty_probes() {
-        let m = ThreeLevelMapping::new(
-            1,
-            vec![vec![UopEntry::new(1, PortSet::from_ports(&[0]))]],
-        );
-        let a = MappingPredictor::new("a", m.clone());
-        let b = MappingPredictor::new("b", m);
-        prediction_agreement(&a, &b, &[]);
     }
 
     fn resolve_dense(name: &str) -> Option<InstId> {

@@ -33,7 +33,6 @@ pub mod fitness;
 pub mod islands;
 pub mod pipeline;
 pub mod selection;
-pub mod validate;
 
 pub use algorithm::PmEvoAlgorithm;
 pub use congruence::{throughput_close, CongruencePartition};
@@ -46,4 +45,3 @@ pub use islands::{
 };
 pub use pipeline::{run, CheckpointConfig, PipelineConfig, PipelineResult};
 pub use selection::AdaptiveTuning;
-pub use validate::{validate, ValidationReport};

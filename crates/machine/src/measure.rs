@@ -8,7 +8,7 @@
 
 use crate::platform::Platform;
 use crate::sim::simulate_kernel;
-use pmevo_core::{Experiment, MeasuredExperiment};
+use pmevo_core::Experiment;
 use pmevo_isa::LoopBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,14 +141,6 @@ impl<'a> Measurer<'a> {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("noise samples are finite"));
         samples[samples.len() / 2]
     }
-
-    /// Measures a batch of experiments.
-    pub fn measure_all(&self, experiments: &[Experiment]) -> Vec<MeasuredExperiment> {
-        experiments
-            .iter()
-            .map(|e| MeasuredExperiment::new(e.clone(), self.measure(e)))
-            .collect()
-    }
 }
 
 /// Samples a standard normal deviate via Box–Muller (the `rand_distr`
@@ -205,20 +197,6 @@ mod tests {
         // Interleave another measurement; e1's result must not change.
         let _ = m.measure(&e2);
         assert_eq!(a1, m.measure(&e1));
-    }
-
-    #[test]
-    fn measure_all_preserves_order_and_pairs() {
-        let p = platforms::a72();
-        let m = Measurer::new(&p, MeasureConfig::exact());
-        let es = vec![
-            Experiment::singleton(InstId(0)),
-            Experiment::singleton(InstId(1)),
-        ];
-        let out = m.measure_all(&es);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].experiment, es[0]);
-        assert!(out.iter().all(|me| me.throughput > 0.0));
     }
 
     #[test]
