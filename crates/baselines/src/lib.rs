@@ -1,7 +1,7 @@
 //! Baseline throughput predictors for the PMEvo evaluation (paper §5.3).
 //!
 //! The paper compares PMEvo's inferred mappings against four tools; each
-//! has an analog here (see DESIGN.md for the substitution rationale):
+//! has an analog here:
 //!
 //! * [`oracle`] — the **uops.info**-style predictor: the machine's
 //!   ground-truth port mapping evaluated under the optimal-scheduler

@@ -34,5 +34,5 @@ fn main() {
     println!("Table 1: evaluated (simulated) processors\n");
     println!("{table}");
     println!("Note: physical machines are replaced by cycle-level simulators");
-    println!("with hidden ground-truth port mappings (see DESIGN.md).");
+    println!("with hidden ground-truth port mappings.");
 }

@@ -1,5 +1,5 @@
 //! Shared harness for the reproduction binaries (one binary per paper
-//! table/figure; see DESIGN.md §4 for the full experiment index).
+//! table/figure, listed in README's crate table).
 //!
 //! Everything here is deliberately boring plumbing: benchmark-set
 //! sampling, backend-based measurement, predictor evaluation, the

@@ -22,7 +22,8 @@
 //! (`Θ(Σ_i 2^(k − |mask_i|) + 2^k)`), or a subset-sum (zeta) transform
 //! (`Θ(k · 2^k)` independent of the number of µops);
 //! [`throughput_naive`] re-scans all µops for every
-//! subset (`Θ(2^|P|) · |µops|`) and exists as the ablation baseline;
+//! subset (`Θ(2^|P|) · |µops|`) and is the textbook reference tests
+//! compare the fast path with;
 //! [`lp_throughput`] solves the linear program with the simplex solver and
 //! is the reference for correctness tests and the Figure 8 comparison.
 
@@ -439,8 +440,8 @@ pub(crate) fn masses_kernel(
 /// Computes `t*_m(e)` by direct enumeration: for every non-empty subset of
 /// live ports, all µops are scanned to accumulate the contained mass.
 ///
-/// This is the textbook reading of Equation 1 and serves as the ablation
-/// baseline for [`throughput_fast`]; both return identical values.
+/// This is the textbook reading of Equation 1 and serves as a test
+/// reference for [`throughput_fast`]; both return identical values.
 ///
 /// # Panics
 ///

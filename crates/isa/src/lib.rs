@@ -11,8 +11,7 @@
 //!   §4.2 ([`regalloc`], [`loopgen`]),
 //! * and synthetic stand-ins for the paper's x86-64 (310 forms) and
 //!   ARMv8-A (390 forms) instruction sets ([`synth`]), since the physical
-//!   test machines are replaced by a simulator in this reproduction (see
-//!   DESIGN.md, substitution table).
+//!   test machines are replaced by a simulator in this reproduction.
 //!
 //! Instruction forms are grouped by [`OpClass`]: the semantic execution
 //! class (integer ALU, multiply, load, ...) that the machine model uses to
