@@ -90,7 +90,7 @@ pub struct Crossover {
     to_a: Vec<bool>,
     /// Per instruction, the index among its µops of the one copied back
     /// into the child that got none of them.
-    repairs: Vec<Option<u32>>,
+    repairs: Vec<Option<usize>>,
 }
 
 impl Crossover {
@@ -111,9 +111,7 @@ impl Crossover {
             let start = to_a.len();
             to_a.extend((0..total).map(|_| rng.gen::<bool>()));
             let in_a = to_a[start..].iter().filter(|&&side| side).count();
-            repairs.push(
-                (in_a == 0 || in_a == total).then(|| rng.gen_range(0..total) as u32),
-            );
+            repairs.push((in_a == 0 || in_a == total).then(|| rng.gen_range(0..total)));
         }
         Crossover { to_a, repairs }
     }
@@ -135,7 +133,11 @@ pub fn recombine(
     crossover: &Crossover,
 ) -> (ThreeLevelMapping, ThreeLevelMapping) {
     let n = a.num_insts();
-    assert_eq!(crossover.repairs.len(), n, "crossover drawn for other parents");
+    assert_eq!(
+        crossover.repairs.len(),
+        n,
+        "crossover drawn for other parents"
+    );
     let mut da = Vec::with_capacity(n);
     let mut db = Vec::with_capacity(n);
     let mut offset = 0;
@@ -162,15 +164,19 @@ pub fn recombine(
         // index names the same µop in it.
         if let Some(k) = crossover.repairs[i] {
             if ca.is_empty() {
-                ca.push(cb[k as usize]);
+                ca.push(cb[k]);
             } else {
-                cb.push(ca[k as usize]);
+                cb.push(ca[k]);
             }
         }
         da.push(ca);
         db.push(cb);
     }
-    assert_eq!(offset, crossover.to_a.len(), "crossover drawn for other parents");
+    assert_eq!(
+        offset,
+        crossover.to_a.len(),
+        "crossover drawn for other parents"
+    );
     (
         ThreeLevelMapping::new(a.num_ports(), da),
         ThreeLevelMapping::new(a.num_ports(), db),
