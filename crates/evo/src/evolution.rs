@@ -81,7 +81,7 @@ pub struct EvoResult {
 /// The island loop draws each pair's crossover from the island's stream
 /// on the calling thread, and [`recombine`] builds the children from it
 /// on a worker without a stream of its own.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Crossover {
     /// One side per µop, instruction by instruction, each instruction's
     /// µops in the order of `a`'s entries and then `b`'s, an entry of
