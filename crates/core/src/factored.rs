@@ -11,23 +11,38 @@
 //! ```
 //!
 //! [`SubsetTables`] builds one table `Z_i` per instruction once per
-//! candidate and then scores each experiment row with one fused pass over
-//! the subsets — no per-experiment mass aggregation and no per-experiment
-//! zeta transform.
+//! candidate, with its per-size maxima `S_i[c] = max_{|Q| = c} Z_i[Q]`,
+//! and then scores each experiment row from the tables — no
+//! per-experiment mass aggregation and no per-experiment zeta transform.
+//!
+//! **Bounds.** A maximum of a sum is at most the sum of the maxima, so
+//! the largest row mass of size `c`, `M_c = max_{|Q| = c} m_e(Q)`, is at
+//! most `B_c = Σ_t n_t · S_{i_t}[c]`. The full port set `P` is the only
+//! subset of its size, so `B_|P| = M_|P|`: a row starts from that exact
+//! quotient and scans the subsets of size `c` only when `B_c / c` is
+//! above its best quotient so far. A one-term row has `B_c = M_c` and
+//! scans nothing. Skipping is exact in any visiting order: a skipped
+//! size has `M_c / c ≤ B_c / c ≤` a quotient already found. Sizes are
+//! visited in ascending order, which finds small bottleneck sets (two
+//! loads on two load ports) before the large sizes, whose bounds then
+//! fall short.
 //!
 //! **Invariant: small integer masses.** Every `n_t` and every `count(u)`
-//! is a `u32`, so every table entry, every product `n_t · Z` and every
-//! row sum is an integer. The tables hold `f32`: when the largest
-//! possible experiment mass fits in `2^24` (checked by the caller before
-//! it takes this path, see [`exact_in_f32`]), every one of those
-//! integers is exact in `f32` whatever the addition order. Each per-size
-//! maximum is widened to `f64`, so the quotient tail sees the exact
-//! integer the per-experiment kernel sums in `f64` too, and both funnel
-//! through the same [`best_quotient`]. Subsets that include ports no µop
-//! of the experiment can use never raise the result: dropping those
-//! ports keeps the mass and shrinks `|Q|`, and rounded division is
-//! monotone. So every prediction has the bits of the per-experiment
-//! path, which enumerates the live ports only.
+//! is a `u32`, so every table entry, every product `n_t · Z`, every row
+//! sum and every bound is an integer. The tables hold `f32`: when the
+//! largest possible experiment mass fits in `2^24` (checked by the
+//! caller before it takes this path, see [`exact_in_f32`]), every one of
+//! those integers is exact in `f32` whatever the addition order. A row
+//! keeps its best quotient as a fraction of such integers and compares
+//! fractions by cross-multiplying in `f64` (products below `2^28`, so
+//! exact); the one division at the end rounds the exact largest
+//! quotient. The per-experiment kernel sums the same integers in `f64`
+//! and takes the largest of its rounded per-size quotients, which is the
+//! same number, because rounded division is monotone. Subsets that
+//! include ports no µop of the experiment can use never raise the result
+//! either: dropping those ports keeps the mass and shrinks `|Q|`. So
+//! every prediction has the bits of the per-experiment path, which
+//! enumerates the live ports only.
 //!
 //! **Layout.** The `2^|P| − 1` non-empty subsets are grouped by size,
 //! each group zero-padded to a multiple of [`LANES`] slots, so every
@@ -35,7 +50,7 @@
 //! cannot raise a maximum of non-negative masses). On a 9-port machine
 //! the 511 subsets take 552 slots, 2.2 KiB per instruction.
 
-use crate::bottleneck_impl::{best_quotient, zeta_transform};
+use crate::bottleneck_impl::zeta_transform;
 use crate::PortSet;
 
 /// Slots per chunk of a table: eight `f32`s make each per-size maximum a
@@ -57,9 +72,9 @@ pub(crate) fn exact_in_f32(max_row_weight: u64, max_uops: u64) -> bool {
 }
 
 /// Reusable state of the factored kernel: the subset layout for one port
-/// count, the per-instruction tables of the current candidate, and the
-/// scratch of the table build and of long rows. Allocation-free once
-/// grown to the largest sizes seen.
+/// count, the per-instruction tables and maxima of the current
+/// candidate, and the scratch of the table build and of long rows.
+/// Allocation-free once grown to the largest sizes seen.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SubsetTables {
     /// Port count the layout below was built for.
@@ -74,9 +89,12 @@ pub(crate) struct SubsetTables {
     /// Instruction-major tables: dense instruction `d` owns chunks
     /// `d * stride..(d + 1) * stride`. Padding slots stay zero.
     tables: Vec<[f32; LANES]>,
+    /// Per-size maxima of every table: `size_max[d][c]` is
+    /// `S_d[c] = max_{|Q| = c} Z_d[Q]`, for sizes `1..=ports`.
+    size_max: Vec<[f32; MAX_FACTORED_PORTS + 1]>,
     /// Mask-indexed buffer of the zeta build.
     natural: Vec<f32>,
-    /// Row sums of rows with three or more terms.
+    /// Row sums of one size group, for rows of three or more terms.
     acc: Vec<[f32; LANES]>,
 }
 
@@ -112,15 +130,17 @@ impl SubsetTables {
         self.ports = Some(ports);
     }
 
-    /// Builds `Z_d` for every dense instruction `d` of a loaded mapping
-    /// over `ports` ports: `offsets[d]..offsets[d + 1]` delimit its µops
-    /// in `uop_ports` and `counts`. Every count must be an integer of at
-    /// most `2^24`, so the `f32` casts are exact.
+    /// Builds `Z_d` and its per-size maxima `S_d` for every dense
+    /// instruction `d` of a loaded mapping over `ports` ports:
+    /// `offsets[d]..offsets[d + 1]` delimit its µops in `uop_ports` and
+    /// `counts`. Every count must be an integer of at most `2^24`, so the
+    /// `f32` casts are exact.
     ///
     /// Per instruction the cheaper of two exact builds runs: a superset
     /// scatter (`Σ_u 2^(|P| − |u|)` additions) or a zeta transform over a
     /// mask-indexed buffer (`|P| · 2^(|P| − 1)` additions) followed by a
-    /// copy into the grouped layout.
+    /// copy into the grouped layout. One pass over the finished table
+    /// then takes its maxima.
     pub(crate) fn build(
         &mut self,
         ports: usize,
@@ -136,6 +156,7 @@ impl SubsetTables {
             self.tables.clear();
             self.tables.resize(insts * stride, [0.0; LANES]);
         }
+        self.size_max.resize(insts, [0.0; MAX_FACTORED_PORTS + 1]);
         let size = 1usize << ports;
         if self.natural.len() < size {
             self.natural.resize(size, 0.0);
@@ -171,63 +192,77 @@ impl SubsetTables {
                     table[s / LANES][s % LANES] = z;
                 }
             }
+            let size_max = &mut self.size_max[d];
+            for c in 1..=ports {
+                size_max[c] = group_max(&table[self.groups[c - 1]..self.groups[c]]);
+            }
         }
     }
 
     /// Predicts one experiment row — dense instructions `insts` with
-    /// multiplicities `counts` — from the tables of the last
+    /// multiplicities `counts` — from the tables and maxima of the last
     /// [`build`](Self::build). Every subset mass of the row must be an
     /// integer of at most `2^24` (see [`exact_in_f32`]).
+    ///
+    /// The row starts from its mass on the full port set and scans the
+    /// subsets of size `c` only when the bound `B_c = Σ_t n_t · S_t[c]`
+    /// gives `B_c / c` above the best quotient so far (see the module
+    /// docs). A one-term row scans nothing: its bounds are its maxima.
     pub(crate) fn predict_row(&mut self, insts: &[u32], counts: &[f64]) -> f64 {
         let ports = self.ports.expect("build precedes predict_row");
-        let stride = self.stride;
-        let table = |d: u32| d as usize * stride..(d as usize + 1) * stride;
-        let mut best_by_size = [0.0f64; MAX_FACTORED_PORTS + 1];
-        match *insts {
-            [] => return 0.0,
-            [a] => {
-                // n · max Z = max n · Z: the products are exact integers.
-                let za = &self.tables[table(a)];
-                for c in 1..=ports {
-                    let g = self.groups[c - 1]..self.groups[c];
-                    best_by_size[c] = counts[0] * f64::from(group_max(&za[g]));
-                }
+        let mut bound = [0.0f32; MAX_FACTORED_PORTS + 1];
+        for (&d, &n) in insts.iter().zip(counts) {
+            let n = n as f32;
+            for (b, &s) in bound.iter_mut().zip(&self.size_max[d as usize]) {
+                *b += n * s;
             }
-            [a, b] => {
-                let (za, zb) = (&self.tables[table(a)], &self.tables[table(b)]);
-                let (na, nb) = (counts[0] as f32, counts[1] as f32);
-                for c in 1..=ports {
-                    let g = self.groups[c - 1]..self.groups[c];
-                    best_by_size[c] = f64::from(pair_group_max(&za[g.clone()], na, &zb[g], nb));
-                }
+        }
+        // The full port set is the only subset of its size, so its bound
+        // is the row's exact mass there. The best quotient so far is kept
+        // as `best_mass / best_size` and compared by cross-multiplying:
+        // every product is an integer below 2^28, exact in `f64`.
+        let (mut best_mass, mut best_size) = (f64::from(bound[ports]), ports as f64);
+        for c in 1..ports {
+            let (b, size) = (f64::from(bound[c]), c as f64);
+            if b * best_size <= best_mass * size {
+                continue;
             }
-            [a, b, ..] => {
-                if self.acc.len() < stride {
-                    self.acc.resize(stride, [0.0; LANES]);
-                }
-                let acc = &mut self.acc[..stride];
-                let (za, zb) = (&self.tables[table(a)], &self.tables[table(b)]);
-                let (na, nb) = (counts[0] as f32, counts[1] as f32);
-                for ((s, x), y) in acc.iter_mut().zip(za).zip(zb) {
-                    for l in 0..LANES {
-                        s[l] = na * x[l] + nb * y[l];
-                    }
-                }
-                for (&d, &n) in insts.iter().zip(counts).skip(2) {
-                    let n = n as f32;
-                    for (s, z) in acc.iter_mut().zip(&self.tables[table(d)]) {
-                        for l in 0..LANES {
-                            s[l] += n * z[l];
-                        }
-                    }
-                }
-                for c in 1..=ports {
-                    best_by_size[c] =
-                        f64::from(group_max(&acc[self.groups[c - 1]..self.groups[c]]));
+            let m = if insts.len() == 1 {
+                b
+            } else {
+                f64::from(self.row_group_max(insts, counts, c))
+            };
+            if m * best_size > best_mass * size {
+                (best_mass, best_size) = (m, size);
+            }
+        }
+        best_mass / best_size
+    }
+
+    /// The largest row mass `Σ_t n_t · Z_t[Q]` over the subsets `Q` of
+    /// size `c`: a fused loop for two terms, and a sum into scratch for
+    /// more.
+    fn row_group_max(&mut self, insts: &[u32], counts: &[f64], c: usize) -> f32 {
+        let g = self.groups[c - 1]..self.groups[c];
+        let at = |d: u32| d as usize * self.stride;
+        let group = |d: u32| &self.tables[at(d) + g.start..at(d) + g.end];
+        if let [a, b] = *insts {
+            return pair_group_max(group(a), counts[0] as f32, group(b), counts[1] as f32);
+        }
+        if self.acc.len() < g.len() {
+            self.acc.resize(g.len(), [0.0; LANES]);
+        }
+        let acc = &mut self.acc[..g.len()];
+        acc.fill([0.0; LANES]);
+        for (&d, &n) in insts.iter().zip(counts) {
+            let n = n as f32;
+            for (s, z) in acc.iter_mut().zip(group(d)) {
+                for l in 0..LANES {
+                    s[l] += n * z[l];
                 }
             }
         }
-        best_quotient(&best_by_size, ports)
+        group_max(acc)
     }
 }
 
@@ -271,6 +306,7 @@ fn lane_max(lanes: [f32; LANES]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Experiment, InstId, ThreeLevelMapping, UopEntry};
 
     #[test]
     fn layout_groups_subsets_by_size_with_padding() {
@@ -350,6 +386,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Tables of `m`, dense instruction `d` being `InstId(d)`.
+    fn tables_of(m: &ThreeLevelMapping) -> SubsetTables {
+        let (mut offsets, mut uop_ports, mut counts) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..m.num_insts() {
+            for e in m.decomposition(InstId(i as u32)) {
+                uop_ports.push(e.ports);
+                counts.push(f64::from(e.count));
+            }
+            offsets.push(uop_ports.len() as u32);
+        }
+        let mut t = SubsetTables::default();
+        t.build(m.num_ports(), &offsets, &uop_ports, &counts);
+        t
+    }
+
+    /// Overwrites every slot of size `c` in every table, but not the
+    /// maxima, with a mass above any row's: a row that scans size `c`
+    /// then predicts too much.
+    fn poison_size(t: &mut SubsetTables, c: usize) {
+        let g = t.groups[c - 1]..t.groups[c];
+        for table in t.tables.chunks_exact_mut(t.stride) {
+            table[g.clone()].fill([1e6; LANES]);
+        }
+    }
+
+    /// Predicts `row` from `t` and checks it against
+    /// `ThreeLevelMapping::throughput` bit for bit.
+    fn check_row(t: &mut SubsetTables, m: &ThreeLevelMapping, row: &[(u32, u32)]) -> f64 {
+        let insts: Vec<u32> = row.iter().map(|&(d, _)| d).collect();
+        let counts: Vec<f64> = row.iter().map(|&(_, n)| f64::from(n)).collect();
+        let got = t.predict_row(&insts, &counts);
+        let e: Vec<(InstId, u32)> = row.iter().map(|&(d, n)| (InstId(d), n)).collect();
+        let want = m.throughput(&Experiment::from_counts(&e));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "row {row:?}: {got} != {want}"
+        );
+        got
+    }
+
+    fn nine_ports(decomp: &[&[(u32, &[usize])]]) -> ThreeLevelMapping {
+        let decomp = decomp
+            .iter()
+            .map(|uops| {
+                uops.iter()
+                    .map(|&(n, ports)| UopEntry::new(n, PortSet::from_ports(ports)))
+                    .collect()
+            })
+            .collect();
+        ThreeLevelMapping::new(9, decomp)
+    }
+
+    /// Two loads on `{2, 3}` beside ALU µops on `{0, 1, 5, 6}`: the
+    /// quotient peaks at size 2, whose bound beats the full set's 1/3,
+    /// and bounds rule out size 1 and every size above 2.
+    #[test]
+    fn a_small_size_bottleneck_skips_every_larger_size() {
+        let alu: &[(u32, &[usize])] = &[(1, &[0, 1, 5, 6])];
+        let load: &[(u32, &[usize])] = &[(1, &[2, 3])];
+        let m = nine_ports(&[alu, load, alu]);
+        let mut t = tables_of(&m);
+        for c in [1, 3, 4, 5, 6, 7, 8] {
+            poison_size(&mut t, c);
+        }
+        assert_eq!(check_row(&mut t, &m, &[(0, 1), (1, 2)]), 1.0);
+        assert_eq!(check_row(&mut t, &m, &[(0, 1), (2, 1), (1, 4)]), 2.0);
+    }
+
+    /// Nine µops on every port outweigh the narrow ones: no bound beats
+    /// the full set's 11/9, so no size is scanned.
+    #[test]
+    fn a_full_set_bottleneck_skips_every_other_size() {
+        let wide: &[(u32, &[usize])] = &[(9, &[0, 1, 2, 3, 4, 5, 6, 7, 8]), (1, &[0, 1])];
+        let m = nine_ports(&[wide, &[(1, &[2, 3, 4, 5, 6, 7, 8])]]);
+        let mut t = tables_of(&m);
+        for c in 1..9 {
+            poison_size(&mut t, c);
+        }
+        assert_eq!(check_row(&mut t, &m, &[(0, 1), (1, 1)]), 11.0 / 9.0);
+    }
+
+    /// The bound of size 3 is one µop on `{0, 1, 2}`, 1/3, equal to the
+    /// full set's 3/9: a size whose bound only ties is skipped.
+    #[test]
+    fn a_bound_equal_to_the_best_quotient_skips_its_size() {
+        let m = nine_ports(&[&[(1, &[0, 1, 2])], &[(2, &[3, 4, 5, 6, 7, 8])]]);
+        let mut t = tables_of(&m);
+        poison_size(&mut t, 3);
+        assert_eq!(check_row(&mut t, &m, &[(0, 1), (1, 1)]), 1.0 / 3.0);
+    }
+
+    /// A one-term row is served from its maxima: no slot is read.
+    #[test]
+    fn a_one_term_row_reads_the_maxima_alone() {
+        let m = nine_ports(&[&[(2, &[2, 3]), (1, &[0, 1, 5, 6]), (1, &[4])]]);
+        let mut t = tables_of(&m);
+        for c in 1..=9 {
+            poison_size(&mut t, c);
+        }
+        assert_eq!(check_row(&mut t, &m, &[(0, 3)]), 3.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! stay on the calling thread and the building moves to the workers.
 
 use crate::fitness::{FitnessEngine, Objectives};
-use pmevo_core::{pool, InstId, ThreeLevelMapping, UopEntry};
+use pmevo_core::{pool, InstId, PortSet, ThreeLevelMapping, UopEntry};
 use rand::Rng;
 
 /// Tunable parameters of the evolutionary algorithm.
@@ -119,9 +119,10 @@ impl Crossover {
 
 /// Binary recombination (paper §4.4): for each instruction, the combined
 /// µop multiset of both parents is split into the two children as
-/// `crossover` says. A child that would receive no µop for an
-/// instruction gets a copy of the one `crossover` names, keeping every
-/// individual well-formed.
+/// `crossover` says. Each parent bundle gives each child one entry, of
+/// the count of its µops drawn to that side. A child that would receive
+/// no µop for an instruction gets a copy of the one `crossover` names,
+/// keeping every individual well-formed.
 ///
 /// # Panics
 ///
@@ -144,29 +145,31 @@ pub fn recombine(
     for i in 0..n {
         let id = InstId(i as u32);
         let total = a.num_uops_of(id) as usize + b.num_uops_of(id) as usize;
-        let to_a = &crossover.to_a[offset..offset + total];
+        let mut sides = &crossover.to_a[offset..offset + total];
         offset += total;
-        let in_a = to_a.iter().filter(|&&side| side).count();
-        let mut ca: Vec<UopEntry> = Vec::with_capacity(in_a.max(1));
-        let mut cb: Vec<UopEntry> = Vec::with_capacity((total - in_a).max(1));
-        let mut sides = to_a.iter();
+        // A child holds at most one entry per parent bundle and per µop.
+        let bundles = a.decomposition(id).len() + b.decomposition(id).len();
+        let in_a = sides.iter().filter(|&&side| side).count();
+        let mut ca: Vec<UopEntry> = Vec::with_capacity(in_a.min(bundles).max(1));
+        let mut cb: Vec<UopEntry> = Vec::with_capacity((total - in_a).min(bundles).max(1));
         for e in a.decomposition(id).iter().chain(b.decomposition(id)) {
-            let uop = UopEntry::new(1, e.ports);
-            for &side in sides.by_ref().take(e.count as usize) {
-                if side {
-                    ca.push(uop);
-                } else {
-                    cb.push(uop);
-                }
+            let (bundle, rest) = sides.split_at(e.count as usize);
+            sides = rest;
+            let k = bundle.iter().filter(|&&side| side).count() as u32;
+            if k > 0 {
+                ca.push(UopEntry::new(k, e.ports));
+            }
+            if k < e.count {
+                cb.push(UopEntry::new(e.count - k, e.ports));
             }
         }
-        // The child holding every µop holds them in draw order, so the
-        // index names the same µop in it.
+        // The child holding every µop holds every bundle whole, in draw
+        // order, so the index names the same µop in it.
         if let Some(k) = crossover.repairs[i] {
             if ca.is_empty() {
-                ca.push(cb[k]);
+                ca.push(UopEntry::new(1, nth_uop(&cb, k)));
             } else {
-                cb.push(ca[k]);
+                cb.push(UopEntry::new(1, nth_uop(&ca, k)));
             }
         }
         da.push(ca);
@@ -181,6 +184,18 @@ pub fn recombine(
         ThreeLevelMapping::new(a.num_ports(), da),
         ThreeLevelMapping::new(a.num_ports(), db),
     )
+}
+
+/// The ports of µop `k` of `entries`, an entry of count `n` standing for
+/// `n` single µops in order.
+fn nth_uop(entries: &[UopEntry], mut k: usize) -> PortSet {
+    for e in entries {
+        if k < e.count as usize {
+            return e.ports;
+        }
+        k -= e.count as usize;
+    }
+    panic!("crossover drawn for other parents")
 }
 
 /// Greedy hill climbing on µop multiplicities (paper §4.4): for every
@@ -331,6 +346,42 @@ mod tests {
             let total = items(&c1) + items(&c2);
             assert!((6..=7).contains(&total), "item total {total}");
             assert!(items(&c1) >= 1 && items(&c2) >= 1);
+        }
+    }
+
+    /// Splitting bundle by bundle gives the children that splitting
+    /// µop by µop gives, repairs included.
+    #[test]
+    fn recombination_matches_the_per_uop_split() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let indiv = [1.5, 0.5, 3.0, 2.0];
+        for _ in 0..200 {
+            let a = ThreeLevelMapping::sample_random(&mut rng, 4, 5, &indiv);
+            let b = ThreeLevelMapping::sample_random(&mut rng, 4, 5, &indiv);
+            let crossover = Crossover::draw(&mut rng, &a, &b);
+            let (mut da, mut db) = (Vec::new(), Vec::new());
+            let mut sides = crossover.to_a.iter();
+            for i in 0..4 {
+                let id = InstId(i as u32);
+                let (mut ca, mut cb) = (Vec::new(), Vec::new());
+                for e in a.decomposition(id).iter().chain(b.decomposition(id)) {
+                    for &side in sides.by_ref().take(e.count as usize) {
+                        let child = if side { &mut ca } else { &mut cb };
+                        child.push(UopEntry::new(1, e.ports));
+                    }
+                }
+                if let Some(k) = crossover.repairs[i] {
+                    if ca.is_empty() {
+                        ca.push(cb[k]);
+                    } else {
+                        cb.push(ca[k]);
+                    }
+                }
+                da.push(ca);
+                db.push(cb);
+            }
+            let want = (ThreeLevelMapping::new(5, da), ThreeLevelMapping::new(5, db));
+            assert_eq!(recombine(&a, &b, &crossover), want);
         }
     }
 

@@ -5,9 +5,12 @@
 //!
 //! The inputs span the machines the factored path serves and the ones it
 //! leaves to the per-experiment kernel: 1–16 ports (the factored path
-//! takes up to 12), 1–21 µop bundles per instruction with counts 1–30,
-//! and rows of 1–3 instructions with counts 1–100 (plain, ratio and
-//! triple experiments).
+//! takes up to 12) and rows of 1–3 instructions with counts 1–100
+//! (plain, ratio and triple experiments). Decompositions come in two
+//! families. The wide one, 1–21 µop bundles per instruction with counts
+//! 1–30 on random port sets, makes most rows peak at the full port set.
+//! The narrow one, 1–3 bundles of 1–4 µops on 1–3 ports, makes rows peak
+//! at small sizes, so the factored path skips the larger ones.
 //!
 //! CI runs this file on its own with `PROPTEST_CASES=2048`.
 
@@ -35,8 +38,26 @@ fn decomposition_strategy(ports: usize) -> impl Strategy<Value = Vec<UopEntry>> 
     })
 }
 
+/// One instruction's decomposition from the narrow family: 1–3
+/// bundles, each of 1–4 µops on 1–3 of the `ports` ports.
+fn narrow_decomposition_strategy(ports: usize) -> impl Strategy<Value = Vec<UopEntry>> {
+    let uop_ports = proptest::collection::vec(0..ports, 1..=3)
+        .prop_map(|ps| ps.into_iter().fold(0u64, |mask, p| mask | 1 << p));
+    proptest::collection::vec((1u32..=4, uop_ports), 1..=3).prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(n, mask)| UopEntry::new(n, PortSet::from_mask(mask)))
+            .collect()
+    })
+}
+
 fn mapping_strategy(ports: usize) -> impl Strategy<Value = ThreeLevelMapping> {
     proptest::collection::vec(decomposition_strategy(ports), NUM_INSTS)
+        .prop_map(move |decomp| ThreeLevelMapping::new(ports, decomp))
+}
+
+fn narrow_mapping_strategy(ports: usize) -> impl Strategy<Value = ThreeLevelMapping> {
+    proptest::collection::vec(narrow_decomposition_strategy(ports), NUM_INSTS)
         .prop_map(move |decomp| ThreeLevelMapping::new(ports, decomp))
 }
 
@@ -74,51 +95,98 @@ fn reference(mapping: &ThreeLevelMapping, experiments: &[MeasuredExperiment]) ->
     }
 }
 
+/// Single evaluation and the delta cache's mean, through the engine's
+/// full-candidate path, are exactly the naive reference.
+fn check_evaluate(m: &ThreeLevelMapping, exps: &[MeasuredExperiment]) -> Result<(), TestCaseError> {
+    let mut engine = FitnessEngine::new(exps, 1);
+    let got = engine.evaluate(m);
+    let want = reference(m, exps);
+    prop_assert_eq!(got.error.to_bits(), want.error.to_bits());
+    prop_assert_eq!(got.volume, want.volume);
+    // Scratch reuse across candidates must not change anything.
+    let again = engine.evaluate(m);
+    prop_assert_eq!(again.error.to_bits(), want.error.to_bits());
+    let cache = engine.build_cache(m);
+    prop_assert_eq!(cache.mean_error().to_bits(), want.error.to_bits());
+    Ok(())
+}
+
+/// Batched evaluation on one thread and over the worker pool equals the
+/// reference for every candidate, in order.
+fn check_batch(
+    ms: Vec<ThreeLevelMapping>,
+    exps: &[MeasuredExperiment],
+) -> Result<(), TestCaseError> {
+    let batch = Arc::new(ms);
+    let want: Vec<Objectives> = batch.iter().map(|m| reference(m, exps)).collect();
+    for threads in [1, 2] {
+        let got = FitnessEngine::new(exps, threads).evaluate_batch(&batch);
+        prop_assert_eq!(got.len(), batch.len());
+        for (o, w) in got.iter().zip(&want) {
+            prop_assert_eq!(o.error.to_bits(), w.error.to_bits());
+            prop_assert_eq!(o.volume, w.volume);
+        }
+    }
+    Ok(())
+}
+
+/// Delta re-evaluation after a single-instruction mutation equals a full
+/// naive evaluation of the mutated mapping, and committing makes the
+/// cache agree with it.
+fn check_delta(
+    m: &ThreeLevelMapping,
+    new_decomp: Vec<UopEntry>,
+    changed_idx: u32,
+    exps: &[MeasuredExperiment],
+) -> Result<(), TestCaseError> {
+    let mut engine = FitnessEngine::new(exps, 1);
+    let mut cache = engine.build_cache(m);
+    prop_assert_eq!(
+        cache.mean_error().to_bits(),
+        reference(m, exps).error.to_bits()
+    );
+
+    let changed = InstId(changed_idx);
+    let mut mutated = m.clone();
+    mutated.set_decomposition(changed, new_decomp);
+    let got = engine.try_update(&mutated, &cache, changed);
+    let want = reference(&mutated, exps);
+    prop_assert_eq!(got.error.to_bits(), want.error.to_bits());
+    prop_assert_eq!(got.volume, want.volume);
+
+    engine.commit_update(&mut cache);
+    prop_assert_eq!(cache.mean_error().to_bits(), want.error.to_bits());
+
+    // A second mutation from the committed baseline stays exact.
+    let mut back = mutated.clone();
+    back.set_decomposition(changed, m.decomposition(changed).to_vec());
+    let got2 = engine.try_update(&back, &cache, changed);
+    let want2 = reference(&back, exps);
+    prop_assert_eq!(got2.error.to_bits(), want2.error.to_bits());
+    prop_assert_eq!(got2.volume, want2.volume);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Single evaluation and the delta cache's mean, through the
-    /// engine's full-candidate path, are exactly the naive reference.
     #[test]
     fn engine_evaluate_is_bit_identical_to_reference(
         m in ports_strategy().prop_flat_map(mapping_strategy),
         exps in experiments_strategy(),
     ) {
-        let mut engine = FitnessEngine::new(&exps, 1);
-        let got = engine.evaluate(&m);
-        let want = reference(&m, &exps);
-        prop_assert_eq!(got.error.to_bits(), want.error.to_bits());
-        prop_assert_eq!(got.volume, want.volume);
-        // Scratch reuse across candidates must not change anything.
-        let again = engine.evaluate(&m);
-        prop_assert_eq!(again.error.to_bits(), want.error.to_bits());
-        let cache = engine.build_cache(&m);
-        prop_assert_eq!(cache.mean_error().to_bits(), want.error.to_bits());
+        check_evaluate(&m, &exps)?;
     }
 
-    /// Batched evaluation on one thread and over the worker pool equals
-    /// the reference for every candidate, in order.
     #[test]
     fn batch_evaluation_is_bit_identical_to_reference(
         ms in ports_strategy()
             .prop_flat_map(|ports| proptest::collection::vec(mapping_strategy(ports), 1..6)),
         exps in experiments_strategy(),
     ) {
-        let batch = Arc::new(ms);
-        let want: Vec<Objectives> = batch.iter().map(|m| reference(m, &exps)).collect();
-        for threads in [1, 2] {
-            let got = FitnessEngine::new(&exps, threads).evaluate_batch(&batch);
-            prop_assert_eq!(got.len(), batch.len());
-            for (o, w) in got.iter().zip(&want) {
-                prop_assert_eq!(o.error.to_bits(), w.error.to_bits());
-                prop_assert_eq!(o.volume, w.volume);
-            }
-        }
+        check_batch(ms, &exps)?;
     }
 
-    /// Delta re-evaluation after a single-instruction mutation equals a
-    /// full naive evaluation of the mutated mapping, and committing makes
-    /// the cache agree with it.
     #[test]
     fn delta_update_is_bit_identical_to_reference(
         (m, new_decomp) in ports_strategy()
@@ -126,27 +194,21 @@ proptest! {
         changed_idx in 0..NUM_INSTS as u32,
         exps in experiments_strategy(),
     ) {
-        let mut engine = FitnessEngine::new(&exps, 1);
-        let mut cache = engine.build_cache(&m);
-        prop_assert_eq!(cache.mean_error().to_bits(), reference(&m, &exps).error.to_bits());
+        check_delta(&m, new_decomp, changed_idx, &exps)?;
+    }
 
-        let changed = InstId(changed_idx);
-        let mut mutated = m.clone();
-        mutated.set_decomposition(changed, new_decomp);
-        let got = engine.try_update(&mutated, &cache, changed);
-        let want = reference(&mutated, &exps);
-        prop_assert_eq!(got.error.to_bits(), want.error.to_bits());
-        prop_assert_eq!(got.volume, want.volume);
-
-        engine.commit_update(&mut cache);
-        prop_assert_eq!(cache.mean_error().to_bits(), want.error.to_bits());
-
-        // A second mutation from the committed baseline stays exact.
-        let mut back = mutated.clone();
-        back.set_decomposition(changed, m.decomposition(changed).to_vec());
-        let got2 = engine.try_update(&back, &cache, changed);
-        let want2 = reference(&back, &exps);
-        prop_assert_eq!(got2.error.to_bits(), want2.error.to_bits());
-        prop_assert_eq!(got2.volume, want2.volume);
+    /// Every path above, on mappings of the narrow family.
+    #[test]
+    fn narrow_mappings_are_bit_identical_to_reference(
+        (ms, new_decomp) in ports_strategy().prop_flat_map(|ports| (
+            proptest::collection::vec(narrow_mapping_strategy(ports), 1..6),
+            narrow_decomposition_strategy(ports),
+        )),
+        changed_idx in 0..NUM_INSTS as u32,
+        exps in experiments_strategy(),
+    ) {
+        check_evaluate(&ms[0], &exps)?;
+        check_delta(&ms[0], new_decomp, changed_idx, &exps)?;
+        check_batch(ms, &exps)?;
     }
 }
