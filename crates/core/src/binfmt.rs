@@ -117,12 +117,7 @@ impl MappingArtifact {
     /// identical bytes — the same determinism contract as the JSON codec.
     pub fn to_bytes(&self) -> Vec<u8> {
         let names_blob_len: usize = self.inst_names.iter().map(|n| n.len()).sum();
-        let total_entries: usize = self
-            .mapping
-            .decompositions()
-            .iter()
-            .map(|d| d.len())
-            .sum();
+        let total_entries: usize = self.mapping.decompositions().map(<[_]>::len).sum();
         let num_insts = self.inst_names.len();
         let cap = HEADER_BYTES
             + 4 * num_insts // name ends

@@ -106,7 +106,10 @@ impl TwoLevelMapping {
 /// The decomposition table stores, for each instruction, the list of
 /// `(count, port set)` bundles. µops are identified by their port set, and
 /// the table keeps entries of one instruction sorted by port set with
-/// duplicates merged, so structural equality is semantic equality.
+/// duplicates merged, so structural equality is semantic equality. All
+/// bundles live in one buffer, instruction after instruction, with each
+/// instruction's end in a second one: a mapping is two allocations
+/// however many instructions it covers.
 ///
 /// # Example
 ///
@@ -131,7 +134,10 @@ impl TwoLevelMapping {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreeLevelMapping {
     num_ports: usize,
-    decomp: Vec<Vec<UopEntry>>,
+    /// Every instruction's normalized bundles, in instruction order.
+    entries: Vec<UopEntry>,
+    /// Instruction `i`'s bundles are `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
 }
 
 impl ThreeLevelMapping {
@@ -148,11 +154,18 @@ impl ThreeLevelMapping {
     pub fn new(num_ports: usize, decomp: Vec<Vec<UopEntry>>) -> Self {
         assert!(num_ports <= MAX_PORTS, "{num_ports} ports out of range");
         let valid = PortSet::first_n(num_ports);
-        let decomp = decomp
-            .into_iter()
-            .map(|entries| Self::normalize_entries(entries, valid))
-            .collect();
-        ThreeLevelMapping { num_ports, decomp }
+        let mut entries = Vec::with_capacity(decomp.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(decomp.len() + 1);
+        offsets.push(0);
+        for row in decomp {
+            entries.extend(Self::normalize_entries(row, valid));
+            offsets.push(Self::offset(entries.len()));
+        }
+        ThreeLevelMapping {
+            num_ports,
+            entries,
+            offsets,
+        }
     }
 
     fn normalize_entries(mut entries: Vec<UopEntry>, valid: PortSet) -> Vec<UopEntry> {
@@ -176,6 +189,10 @@ impl ThreeLevelMapping {
         entries
     }
 
+    fn offset(len: usize) -> u32 {
+        u32::try_from(len).expect("more than u32::MAX µop bundles in one mapping")
+    }
+
     /// Number of ports of the machine.
     pub fn num_ports(&self) -> usize {
         self.num_ports
@@ -183,7 +200,7 @@ impl ThreeLevelMapping {
 
     /// Number of instructions covered by the mapping.
     pub fn num_insts(&self) -> usize {
-        self.decomp.len()
+        self.offsets.len() - 1
     }
 
     /// The µop decomposition of `inst`.
@@ -192,12 +209,15 @@ impl ThreeLevelMapping {
     ///
     /// Panics if `inst` is out of range.
     pub fn decomposition(&self, inst: InstId) -> &[UopEntry] {
-        &self.decomp[inst.index()]
+        let i = inst.index();
+        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// All decompositions, indexed by instruction id.
-    pub fn decompositions(&self) -> &[Vec<UopEntry>] {
-        &self.decomp
+    /// All decompositions, in instruction-id order.
+    pub fn decompositions(&self) -> impl ExactSizeIterator<Item = &[UopEntry]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.entries[w[0] as usize..w[1] as usize])
     }
 
     /// Replaces the decomposition of `inst` (re-normalizing it).
@@ -207,15 +227,21 @@ impl ThreeLevelMapping {
     /// Panics if `inst` is out of range or entries mention invalid ports.
     pub fn set_decomposition(&mut self, inst: InstId, entries: Vec<UopEntry>) {
         let valid = PortSet::first_n(self.num_ports);
-        self.decomp[inst.index()] = Self::normalize_entries(entries, valid);
+        let entries = Self::normalize_entries(entries, valid);
+        let i = inst.index();
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        let new_end = Self::offset(start as usize + entries.len());
+        self.entries.splice(start as usize..end as usize, entries);
+        for offset in &mut self.offsets[i + 1..] {
+            *offset = *offset - end + new_end;
+        }
     }
 
     /// The µop volume `V(m) = Σ n · |u|` (paper §4.4), the compactness
     /// objective of the evolutionary algorithm.
     pub fn volume(&self) -> u64 {
-        self.decomp
+        self.entries
             .iter()
-            .flatten()
             .map(|e| u64::from(e.count) * e.ports.len() as u64)
             .sum()
     }
@@ -223,7 +249,7 @@ impl ThreeLevelMapping {
     /// Number of *distinct* µops (distinct port sets) used anywhere in the
     /// mapping — the "number of µops" column of paper Table 2.
     pub fn num_distinct_uops(&self) -> usize {
-        let mut sets: Vec<PortSet> = self.decomp.iter().flatten().map(|e| e.ports).collect();
+        let mut sets: Vec<PortSet> = self.entries.iter().map(|e| e.ports).collect();
         sets.sort_unstable();
         sets.dedup();
         sets.len()
@@ -235,7 +261,7 @@ impl ThreeLevelMapping {
     ///
     /// Panics if `inst` is out of range.
     pub fn num_uops_of(&self, inst: InstId) -> u32 {
-        self.decomp[inst.index()].iter().map(|e| e.count).sum()
+        self.decomposition(inst).iter().map(|e| e.count).sum()
     }
 
     /// Reduces `e` to the µop multiset of the two-level model: the
@@ -281,8 +307,7 @@ impl ThreeLevelMapping {
     pub fn to_json_value(&self) -> crate::json::Value {
         use crate::json::Value;
         let decomp = self
-            .decomp
-            .iter()
+            .decompositions()
             .map(|entries| {
                 Value::Arr(
                     entries
@@ -508,6 +533,38 @@ mod tests {
         let u = PortSet::from_ports(&[1]);
         m.set_decomposition(InstId(0), vec![UopEntry::new(1, u), UopEntry::new(1, u)]);
         assert_eq!(m.decomposition(InstId(0)), &[UopEntry::new(2, u)]);
+    }
+
+    #[test]
+    fn set_decomposition_grows_and_shrinks_a_middle_instruction() {
+        let (p0, p1, p2) = (
+            PortSet::from_ports(&[0]),
+            PortSet::from_ports(&[1]),
+            PortSet::from_ports(&[2]),
+        );
+        let rows = |middle: Vec<UopEntry>| {
+            vec![
+                vec![UopEntry::new(2, p0)],
+                middle,
+                vec![UopEntry::new(1, p1), UopEntry::new(1, p2)],
+                vec![UopEntry::new(1, p0)],
+            ]
+        };
+        let mut m = ThreeLevelMapping::new(3, rows(vec![UopEntry::new(1, p1)]));
+        let grown = vec![
+            UopEntry::new(1, p2),
+            UopEntry::new(3, p0),
+            UopEntry::new(1, p1),
+        ];
+        m.set_decomposition(InstId(1), grown.clone());
+        assert_eq!(m, ThreeLevelMapping::new(3, rows(grown)));
+        assert_eq!(m.decomposition(InstId(1)).len(), 3);
+        let shrunk = vec![UopEntry::new(4, p2)];
+        m.set_decomposition(InstId(1), shrunk.clone());
+        assert_eq!(m, ThreeLevelMapping::new(3, rows(shrunk)));
+        assert_eq!(m.decomposition(InstId(2)).len(), 2);
+        assert_eq!(m.decomposition(InstId(3)), &[UopEntry::new(1, p0)]);
+        assert_eq!(m.decompositions().len(), 4);
     }
 
     #[test]

@@ -128,7 +128,7 @@ proptest! {
     fn identical_decompositions_merge(m in mapping_strategy(4, 6)) {
         // Duplicate instruction 0's decomposition onto instruction 1.
         let mut decomp: Vec<Vec<pmevo_core::UopEntry>> =
-            m.decompositions().to_vec();
+            m.decompositions().map(<[_]>::to_vec).collect();
         decomp[1] = decomp[0].clone();
         let m = ThreeLevelMapping::new(4, decomp);
         let ids: Vec<InstId> = (0..6u32).map(InstId).collect();

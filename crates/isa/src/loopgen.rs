@@ -117,6 +117,14 @@ impl<'a> LoopBuilder<'a> {
 
     /// Builds the unrolled, register-allocated kernel for `e`.
     ///
+    /// Forms are interleaved round-robin in [`Experiment::counts`] order,
+    /// and the builder reads a form only through its
+    /// [`InstructionForm::operands`](crate::InstructionForm::operands)
+    /// (the register allocator's input): two experiments whose
+    /// `(operands, count)` sequences are equal get kernels that differ
+    /// only in their forms' ids. `SimBackend`'s measurement memo in
+    /// `pmevo-machine` rests on this.
+    ///
     /// # Panics
     ///
     /// Panics if `e` is empty or references instructions outside the ISA.

@@ -110,16 +110,26 @@ impl<'a> Measurer<'a> {
     ///
     /// Panics if `e` is empty or references unknown instructions.
     pub fn measure(&self, e: &Experiment) -> f64 {
+        self.with_noise(self.exact(e), e)
+    }
+
+    /// The noise-free throughput of `e`: its loop built and simulated.
+    pub(crate) fn exact(&self, e: &Experiment) -> f64 {
         let kernel = LoopBuilder::new(self.platform.isa())
             .body_len(self.config.body_len)
             .build(e);
-        let exact = simulate_kernel(
+        simulate_kernel(
             self.platform,
             &kernel,
             self.config.warmup_iters,
             self.config.warmup_iters + self.config.measure_iters,
         )
-        .cycles_per_instance;
+        .cycles_per_instance
+    }
+
+    /// The median of the noisy repetitions of `e` around its noise-free
+    /// throughput `exact`.
+    pub(crate) fn with_noise(&self, exact: f64, e: &Experiment) -> f64 {
         if self.config.noise_sigma == 0.0 || self.config.repetitions <= 1 {
             return exact;
         }

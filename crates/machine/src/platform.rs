@@ -30,7 +30,7 @@ pub struct PlatformInfo {
 }
 
 /// Per-form execution parameters assigned by the ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecParams {
     /// Result latency in cycles (producer → consumer).
     pub latency: u32,
@@ -684,8 +684,7 @@ mod tests {
         // paper's congruence filtering working at all).
         let p = skl();
         let gt = p.ground_truth();
-        let mut distinct: Vec<Vec<UopEntry>> =
-            gt.decompositions().to_vec();
+        let mut distinct: Vec<Vec<UopEntry>> = gt.decompositions().map(<[_]>::to_vec).collect();
         distinct.sort_by_key(|d| format!("{d:?}"));
         distinct.dedup();
         assert!(

@@ -184,6 +184,13 @@ thread_local! {
 /// used by [`Measurer`](crate::Measurer) are generous enough for every
 /// built-in platform.
 ///
+/// The simulator reads a kernel instruction's form only through its
+/// ground-truth decomposition and [`ExecParams`](crate::platform::ExecParams),
+/// and the platform only through those tables, its port count, fetch
+/// width and window size. Forms that agree on all of them are
+/// indistinguishable here, which [`SimBackend`](crate::SimBackend)'s
+/// measurement memo rests on.
+///
 /// # Panics
 ///
 /// Panics if the kernel is empty, `iters < warmup + 2` (the measured span

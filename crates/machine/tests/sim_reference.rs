@@ -13,7 +13,8 @@
 //! than the three tracked dependency slots, and runs too short for the
 //! fast-forward to trigger.
 //!
-//! CI runs this file on its own with `PROPTEST_CASES=2048`.
+//! CI runs this file on its own with `PROPTEST_CASES=2048`. The crate is
+//! held to `rustfmt` in CI; `#[rustfmt::skip]` keeps `reference` verbatim.
 
 use pmevo_core::{Experiment, InstId, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo_isa::synth::{synthetic_arm, synthetic_x86, tiny_isa};
@@ -66,6 +67,7 @@ const NO_DEP: usize = usize::MAX;
 ///
 /// Panics if the kernel is empty, `iters <= warmup`, or the kernel
 /// references forms outside the platform's ISA.
+#[rustfmt::skip]
 fn reference(platform: &Platform, kernel: &Kernel, warmup: u32, iters: u32) -> SimResult {
     assert!(!kernel.is_empty(), "cannot simulate an empty kernel");
     assert!(iters > warmup, "need iters > warmup");

@@ -326,12 +326,16 @@ impl NameTable {
 }
 
 /// Deterministic estimate of a decomposition payload's resident bytes:
-/// the outer `Vec` spine plus per-instruction `Vec` headers plus 16
+/// an outer `Vec` spine plus per-instruction `Vec` headers plus 16
 /// aligned bytes per `UopEntry`. An estimate by design — it is the unit
 /// of the budget accounting, not an allocator measurement — but it is a
 /// pure function of the mapping, so budget behavior is reproducible.
+/// The formula predates [`ThreeLevelMapping`]'s flat layout (one bundle
+/// buffer plus one `u32` offset per instruction) and no longer describes
+/// it; it stays as the budget unit so that every budget keeps its
+/// meaning.
 fn payload_cost(mapping: &ThreeLevelMapping) -> u64 {
-    let entries: usize = mapping.decompositions().iter().map(Vec::len).sum();
+    let entries: usize = mapping.decompositions().map(<[_]>::len).sum();
     48 + 24 * mapping.num_insts() as u64 + 16 * entries as u64
 }
 
