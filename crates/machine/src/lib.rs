@@ -23,7 +23,7 @@
 //! * [`SimBackend`] — the harness behind the
 //!   [`pmevo_core::MeasurementBackend`] trait: measurement batches
 //!   chunked across worker threads, with thread-count-independent
-//!   results.
+//!   results, simulating each distinct measurement kernel once.
 
 pub mod platform;
 pub mod sim;
