@@ -247,7 +247,9 @@ impl InferenceAlgorithm for LpAlgorithm {
             })
             .collect();
         let lp = Problem::least_absolute_deviations(num_insts, &rows, &throughputs);
-        let solution = lp.solve().expect("LAD regression LP is feasible and bounded");
+        let solution = lp
+            .solve()
+            .expect("LAD regression LP is feasible and bounded");
 
         let decomp = (0..num_insts)
             .map(|i| flexible_decomposition(solution.value(i), num_ports))
@@ -307,7 +309,9 @@ mod tests {
         assert_eq!(a.mapping, b.mapping);
         assert_ne!(
             a.mapping,
-            RandomAlgorithm::new(4).infer(4, 3, &mut ModelBackend::new(gt())).mapping,
+            RandomAlgorithm::new(4)
+                .infer(4, 3, &mut ModelBackend::new(gt()))
+                .mapping,
         );
     }
 
@@ -317,11 +321,7 @@ mod tests {
         // w_i = t*(i) exactly (zero residual is attainable).
         let machine = ThreeLevelMapping::new(
             3,
-            vec![
-                vec![uop(1, &[0])],
-                vec![uop(2, &[1])],
-                vec![uop(3, &[2])],
-            ],
+            vec![vec![uop(1, &[0])], vec![uop(2, &[1])], vec![uop(3, &[2])]],
         );
         let inferred = LpAlgorithm::new(0).infer(3, 3, &mut ModelBackend::new(machine));
         assert_eq!(inferred.num_experiments, 3);

@@ -185,10 +185,7 @@ mod tests {
             skl.info().clone(),
             skl.isa().clone(),
             skl.ground_truth().clone(),
-            skl.isa()
-                .ids()
-                .map(|i| skl.exec_params(i))
-                .collect(),
+            skl.isa().ids().map(|i| skl.exec_params(i)).collect(),
             4,
             97,
         );

@@ -27,6 +27,7 @@
 //! `cmp`s the artifacts.
 
 use pmevo_bench::Args;
+use pmevo_core::binfmt::fnv1a;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{Experiment, InstId};
 use pmevo_machine::platforms;
@@ -35,19 +36,6 @@ use pmevo_stats::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-
-/// FNV-1a over the raw bits of every prediction, in query order: equal
-/// checksums mean bit-identical serving results.
-fn checksum(cycles: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in cycles {
-        for b in t.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// One sweep cell: a serving configuration the workload is replayed
 /// against.
@@ -116,10 +104,13 @@ fn run_cell(cell: &Cell, platform_names: &[String], queries: &[(MappingId, Exper
     }
     let elapsed = started.elapsed();
     let stats = predictor.stats();
+    // FNV-1a over the raw bits of every prediction, in query order:
+    // equal checksums mean bit-identical serving results.
+    let bits: Vec<u8> = cycles.iter().flat_map(|t| t.to_bits().to_le_bytes()).collect();
     CellResult {
         hit_rate: stats.hit_rate(),
         cache_hits: stats.cache_hits,
-        checksum: checksum(&cycles),
+        checksum: fnv1a(&bits),
         total_cycles: cycles.iter().sum(),
         elapsed_ns: timings.then_some(elapsed.as_nanos()),
     }

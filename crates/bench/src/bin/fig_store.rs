@@ -26,6 +26,7 @@
 //! queries/second, making the cost of riding the reload path visible.
 
 use pmevo_bench::Args;
+use pmevo_core::binfmt::fnv1a;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{Experiment, InstId, MappingArtifact, PortSet, ThreeLevelMapping, UopEntry};
 use pmevo_predict::{MappingId, MappingStore, Predictor, PredictorConfig, ResidencyStats};
@@ -34,19 +35,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-
-/// FNV-1a over the raw bits of every prediction, in query order: equal
-/// checksums mean bit-identical serving results.
-fn checksum(cycles: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in cycles {
-        for b in t.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// One seeded synthetic mapping artifact: a small random ISA with a
 /// random decomposition — stand-in for one fleet machine's inferred
@@ -166,8 +154,11 @@ fn run_cell(
     }
     let elapsed = started.elapsed();
     let store = predictor.snapshot();
+    // FNV-1a over the raw bits of every prediction, in query order:
+    // equal checksums mean bit-identical serving results.
+    let bits: Vec<u8> = cycles.iter().flat_map(|t| t.to_bits().to_le_bytes()).collect();
     CellResult {
-        checksum: checksum(&cycles),
+        checksum: fnv1a(&bits),
         stats: store.residency_stats(),
         resident: store.resident_count(),
         elapsed_ns: timings.then_some(elapsed.as_nanos()),

@@ -100,7 +100,6 @@ pub fn default_pipeline_config(scale: usize, seed: u64) -> PipelineConfig {
     PipelineConfig {
         epsilon: 0.05,
         congruence_filtering: true,
-        extra_triples: 0,
         evo: EvoConfig {
             population_size: 300 * scale.max(1),
             max_generations: 50,

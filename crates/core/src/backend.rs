@@ -17,10 +17,6 @@
 //! * [`CachingBackend`] — a decorator that deduplicates repeated
 //!   experiments, forwarding only cache misses to the wrapped backend
 //!   and counting how many real measurements were performed.
-//! * [`NoisyBackend`] — a decorator that injects seeded, per-experiment
-//!   multiplicative Gaussian noise for robustness scenarios. The noise
-//!   stream is derived from the experiment itself, so results do not
-//!   depend on measurement order or batch splits.
 //!
 //! The simulator-backed [`SimBackend`](../../pmevo_machine/struct.SimBackend.html)
 //! lives in `pmevo-machine` (this crate does not know about platforms).
@@ -33,8 +29,6 @@
 
 use crate::json::{self, Value};
 use crate::{Experiment, MeasuredExperiment};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -178,29 +172,6 @@ impl<B: MeasurementBackend + ?Sized> MeasurementBackend for Box<B> {
     }
 }
 
-/// An order-independent per-experiment hash: the same experiment always
-/// draws the same noise stream, regardless of batch order or splits.
-pub(crate) fn experiment_hash(seed: u64, e: &Experiment) -> u64 {
-    let mut hash = seed;
-    for (i, n) in e.iter() {
-        hash = hash
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(i.0) << 32 | u64::from(n));
-    }
-    hash
-}
-
-/// Samples a standard normal deviate via Box–Muller.
-pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.gen::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-    }
-}
-
 /// "Measures" with the analytical bottleneck model of a known mapping —
 /// the noise-free oracle backend used by tests, examples and the
 /// congruence/robustness scenarios where a hidden ground truth exists.
@@ -279,80 +250,27 @@ impl fmt::Display for MeasurementJsonError {
 
 impl std::error::Error for MeasurementJsonError {}
 
-fn measurements_to_json_value(measurements: &[MeasuredExperiment]) -> Value {
-    let rows = measurements
-        .iter()
-        .map(|me| {
-            let counts = me
-                .experiment
-                .iter()
-                .map(|(i, n)| {
-                    Value::Arr(vec![Value::UInt(u64::from(i.0)), Value::UInt(u64::from(n))])
-                })
-                .collect();
-            Value::Obj(vec![
-                ("experiment".into(), Value::Arr(counts)),
-                ("throughput".into(), Value::Num(me.throughput)),
-            ])
-        })
-        .collect();
-    Value::Obj(vec![("measurements".into(), Value::Arr(rows))])
-}
-
 /// Serializes a measurement artifact as compact JSON
 /// (`{"measurements":[{"experiment":[[id,count],…],"throughput":…},…]}`).
 pub fn measurements_to_json(measurements: &[MeasuredExperiment]) -> String {
-    json::write_compact(&measurements_to_json_value(measurements))
+    let rows = measurements.iter().map(MeasuredExperiment::to_json_value).collect();
+    json::write_compact(&Value::Obj(vec![("measurements".into(), Value::Arr(rows))]))
 }
 
-/// Serializes a measurement artifact as 2-space-indented JSON.
-pub fn measurements_to_json_pretty(measurements: &[MeasuredExperiment]) -> String {
-    json::write_pretty(&measurements_to_json_value(measurements))
-}
-
-/// Parses a measurement artifact produced by [`measurements_to_json`] /
-/// [`measurements_to_json_pretty`].
+/// Parses a measurement artifact produced by [`measurements_to_json`].
+/// Every row must hold a non-empty experiment of positive counts and a
+/// positive, finite throughput.
 pub fn measurements_from_json(input: &str) -> Result<Vec<MeasuredExperiment>, MeasurementJsonError> {
     let doc = json::parse(input).map_err(MeasurementJsonError::Parse)?;
-    let shape = |what: &str| MeasurementJsonError::Shape(what.to_owned());
     let rows = doc
         .get("measurements")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| shape("missing array field `measurements`"))?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let counts = row
-            .get("experiment")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| shape(&format!("measurements[{i}]: bad `experiment`")))?;
-        let mut pairs = Vec::with_capacity(counts.len());
-        for pair in counts {
-            let [id, n] = pair.as_arr().unwrap_or(&[]) else {
-                return Err(shape(&format!("measurements[{i}]: experiment entries are [id, count] pairs")));
-            };
-            let id = id
-                .as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| shape(&format!("measurements[{i}]: bad instruction id")))?;
-            let n = n
-                .as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| shape(&format!("measurements[{i}]: bad count")))?;
-            pairs.push((crate::InstId(id), n));
-        }
-        let throughput = match row.get("throughput") {
-            Some(&Value::Num(t)) => t,
-            Some(&Value::UInt(t)) => t as f64,
-            _ => return Err(shape(&format!("measurements[{i}]: bad `throughput`"))),
-        };
-        if !(throughput.is_finite() && throughput > 0.0) {
-            return Err(shape(&format!(
-                "measurements[{i}]: throughput {throughput} is not positive and finite"
-            )));
-        }
-        out.push(MeasuredExperiment::new(Experiment::from_counts(&pairs), throughput));
-    }
-    Ok(out)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| MeasurementJsonError::Shape("missing array field `measurements`".into()))?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| MeasuredExperiment::from_json_value(row, &format!("measurements[{i}]")))
+        .collect::<Result<_, _>>()
+        .map_err(MeasurementJsonError::Shape)
 }
 
 /// Replays a recorded measurement artifact: every experiment must have
@@ -549,85 +467,6 @@ impl<B: MeasurementBackend> MeasurementBackend for CachingBackend<B> {
     }
 }
 
-/// A decorator that injects seeded multiplicative Gaussian noise
-/// (`t · (1 + σ·z)`, clamped positive) on top of the wrapped backend —
-/// the robustness scenario of paper §5.1 without touching the backend
-/// under test.
-///
-/// The noise stream is a pure function of `(seed, experiment)`, so the
-/// same experiment gets the same perturbation in any batch, in any
-/// order — determinism survives caching, re-batching and parallel
-/// measurement.
-#[derive(Debug, Clone)]
-pub struct NoisyBackend<B> {
-    inner: B,
-    sigma: f64,
-    seed: u64,
-    requested: u64,
-    name: String,
-}
-
-impl<B: MeasurementBackend> NoisyBackend<B> {
-    /// Wraps `inner`, perturbing every measurement with relative standard
-    /// deviation `sigma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or not finite.
-    pub fn new(inner: B, sigma: f64, seed: u64) -> Self {
-        assert!(sigma.is_finite() && sigma >= 0.0, "bad noise sigma {sigma}");
-        let name = format!("noisy({})", inner.name());
-        NoisyBackend {
-            inner,
-            sigma,
-            seed,
-            requested: 0,
-            name,
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: MeasurementBackend> MeasurementBackend for NoisyBackend<B> {
-    fn measure_batch(&mut self, experiments: &[Experiment]) -> Vec<f64> {
-        self.requested += experiments.len() as u64;
-        let exact = self.inner.measure_batch(experiments);
-        if self.sigma == 0.0 {
-            return exact;
-        }
-        experiments
-            .iter()
-            .zip(exact)
-            .map(|(e, t)| {
-                let mut rng = StdRng::seed_from_u64(experiment_hash(self.seed, e));
-                let z = standard_normal(&mut rng);
-                (t * (1.0 + self.sigma * z)).max(1e-9)
-            })
-            .collect()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn stats(&self) -> BackendStats {
-        let inner = self.inner.stats();
-        BackendStats {
-            measurements_requested: self.requested,
-            ..inner
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,14 +524,10 @@ mod tests {
             Experiment::pair(InstId(0), 2, InstId(1), 1),
         ];
         let want = b.measure_batch(&exps);
-        for json in [
-            measurements_to_json(&b.measurements()),
-            measurements_to_json_pretty(&b.measurements()),
-        ] {
-            let mut replay = ReplayBackend::from_json(&json).expect("artifact parses");
-            assert_eq!(replay.len(), 3);
-            assert_eq!(replay.measure_batch(&exps), want);
-        }
+        let json = measurements_to_json(&b.measurements());
+        let mut replay = ReplayBackend::from_json(&json).expect("artifact parses");
+        assert_eq!(replay.len(), 3);
+        assert_eq!(replay.measure_batch(&exps), want);
     }
 
     #[test]
@@ -702,6 +537,8 @@ mod tests {
             r#"{"measurements":[{"experiment":[[0]],"throughput":1.0}]}"#,
             r#"{"measurements":[{"experiment":[[0,1]],"throughput":-1.0}]}"#,
             r#"{"measurements":[{"experiment":[[0,1]]}]}"#,
+            r#"{"measurements":[{"experiment":[],"throughput":1.0}]}"#,
+            r#"{"measurements":[{"experiment":[[0,0]],"throughput":1.0}]}"#,
         ] {
             assert!(ReplayBackend::from_json(bad).is_err(), "{bad} should not parse");
         }
@@ -712,27 +549,6 @@ mod tests {
     fn replay_panics_on_unrecorded_experiment() {
         let mut b = ReplayBackend::from_measurements(&[]);
         b.measure_batch(&[Experiment::singleton(InstId(7))]);
-    }
-
-    #[test]
-    fn noisy_backend_is_order_and_batch_independent() {
-        let e0 = Experiment::singleton(InstId(0));
-        let e1 = Experiment::singleton(InstId(1));
-        let mut a = NoisyBackend::new(ModelBackend::new(toy_mapping()), 0.05, 42);
-        let mut b = NoisyBackend::new(ModelBackend::new(toy_mapping()), 0.05, 42);
-        let one = a.measure_batch(&[e0.clone(), e1.clone()]);
-        let two = [
-            b.measure_batch(std::slice::from_ref(&e1))[0],
-            b.measure_batch(std::slice::from_ref(&e0))[0],
-        ];
-        assert_eq!(one, vec![two[1], two[0]]);
-        // A different seed draws different noise.
-        let mut c = NoisyBackend::new(ModelBackend::new(toy_mapping()), 0.05, 43);
-        assert_ne!(c.measure_batch(std::slice::from_ref(&e0)), vec![one[0]]);
-        // Sigma 0 is exact.
-        let mut exact = NoisyBackend::new(ModelBackend::new(toy_mapping()), 0.0, 42);
-        assert_eq!(exact.measure_batch(&[e0]), vec![1.0]);
-        assert!(a.stats().measurements_performed >= 2);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::backend::BackendStats;
 use crate::json::{self, ParseError, Value};
 use crate::selection::{MeasurementBudget, RoundStats, SelectionPolicy};
-use crate::{Experiment, InstId, MeasuredExperiment, ThreeLevelMapping};
+use crate::{Experiment, MeasuredExperiment, ThreeLevelMapping};
 use std::fmt;
 use std::path::Path;
 use std::time::Duration;
@@ -174,94 +174,6 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Encodes a float that may legitimately be `+inf` (`null` in JSON —
-/// the codec's convention for non-finite values, made explicit here so
-/// decoding can restore the infinity).
-fn num_or_null(f: f64) -> Value {
-    if f.is_finite() {
-        Value::Num(f)
-    } else {
-        Value::Null
-    }
-}
-
-fn experiment_to_json(e: &Experiment) -> Value {
-    Value::Arr(
-        e.iter()
-            .map(|(i, n)| Value::Arr(vec![Value::UInt(u64::from(i.0)), Value::UInt(u64::from(n))]))
-            .collect(),
-    )
-}
-
-fn experiment_from_json(v: &Value, what: &str) -> Result<Experiment, String> {
-    let rows = v
-        .as_arr()
-        .ok_or_else(|| format!("{what} must be an array of [inst, count] pairs"))?;
-    let mut counts = Vec::with_capacity(rows.len());
-    for (k, row) in rows.iter().enumerate() {
-        let pair = row
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{what}[{k}] must be an [inst, count] pair"))?;
-        let id = pair[0]
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| format!("{what}[{k}] instruction id must be a u32"))?;
-        let count = pair[1]
-            .as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("{what}[{k}] count must be a positive u32"))?;
-        counts.push((InstId(id), count));
-    }
-    if counts.is_empty() {
-        return Err(format!("{what} must not be empty"));
-    }
-    Ok(Experiment::from_counts(&counts))
-}
-
-fn round_to_json(r: &RoundStats) -> Value {
-    let mut v = r.to_json_value();
-    if !r.training_error.is_finite() {
-        if let Value::Obj(fields) = &mut v {
-            for (key, val) in fields.iter_mut() {
-                if key == "training_error" {
-                    *val = Value::Null;
-                }
-            }
-        }
-    }
-    v
-}
-
-fn round_from_json(v: &Value) -> Result<RoundStats, String> {
-    match v.get("training_error") {
-        Some(Value::Null) => {
-            // An in-flight round: its training error is filled in by the
-            // next evolve segment; `null` encodes the `+inf` placeholder.
-            let Value::Obj(fields) = v else {
-                return Err("round stats must be an object".into());
-            };
-            let patched = Value::Obj(
-                fields
-                    .iter()
-                    .map(|(key, val)| {
-                        if key == "training_error" {
-                            (key.clone(), Value::Num(0.0))
-                        } else {
-                            (key.clone(), val.clone())
-                        }
-                    })
-                    .collect(),
-            );
-            let mut round = RoundStats::from_json_value(&patched)?;
-            round.training_error = f64::INFINITY;
-            Ok(round)
-        }
-        _ => RoundStats::from_json_value(v),
-    }
-}
-
 fn phase_to_json(p: CheckpointPhase) -> Value {
     match p {
         CheckpointPhase::OneShot => Value::Str("one-shot".into()),
@@ -362,7 +274,7 @@ impl EvoCheckpoint {
                 "history".into(),
                 Value::Arr(self.history.iter().map(|&h| Value::Num(h)).collect()),
             ),
-            ("best_so_far".into(), num_or_null(self.best_so_far)),
+            ("best_so_far".into(), Value::Num(self.best_so_far)),
             ("stall".into(), Value::UInt(u64::from(self.stall))),
         ])
     }
@@ -479,21 +391,11 @@ impl SessionCheckpoint {
             ),
             (
                 "measured".into(),
-                Value::Arr(
-                    self.measured
-                        .iter()
-                        .map(|me| {
-                            Value::Obj(vec![
-                                ("experiment".into(), experiment_to_json(&me.experiment)),
-                                ("throughput".into(), Value::Num(me.throughput)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Arr(self.measured.iter().map(MeasuredExperiment::to_json_value).collect()),
             ),
             (
                 "rounds".into(),
-                Value::Arr(self.rounds.iter().map(round_to_json).collect()),
+                Value::Arr(self.rounds.iter().map(RoundStats::to_json_value).collect()),
             ),
             (
                 "round_mappings".into(),
@@ -506,7 +408,7 @@ impl SessionCheckpoint {
             ),
             (
                 "pool".into(),
-                Value::Arr(self.pool.iter().map(experiment_to_json).collect()),
+                Value::Arr(self.pool.iter().map(Experiment::to_json_value).collect()),
             ),
             ("stream_taken".into(), Value::UInt(self.stream_taken)),
             ("phase".into(), phase_to_json(self.phase)),
@@ -596,24 +498,7 @@ impl SessionCheckpoint {
             .iter()
             .enumerate()
             .map(|(i, row)| {
-                let experiment = row
-                    .get("experiment")
-                    .ok_or_else(|| shape(format!("measured[{i}] needs a field `experiment`")))
-                    .and_then(|e| {
-                        experiment_from_json(e, &format!("measured[{i}].experiment")).map_err(shape)
-                    })?;
-                let throughput = row
-                    .get("throughput")
-                    .ok_or_else(|| shape(format!("measured[{i}] needs a field `throughput`")))
-                    .and_then(|t| {
-                        f64_from_json(t, &format!("measured[{i}].throughput")).map_err(shape)
-                    })?;
-                if !(throughput.is_finite() && throughput > 0.0) {
-                    return Err(shape(format!(
-                        "measured[{i}].throughput must be positive and finite"
-                    )));
-                }
-                Ok(MeasuredExperiment::new(experiment, throughput))
+                MeasuredExperiment::from_json_value(row, &format!("measured[{i}]")).map_err(shape)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let rounds = doc
@@ -621,7 +506,7 @@ impl SessionCheckpoint {
             .and_then(Value::as_arr)
             .ok_or_else(|| shape("missing array field `rounds`".into()))?
             .iter()
-            .map(|v| round_from_json(v).map_err(|e| shape(format!("field `rounds`: {e}"))))
+            .map(|v| RoundStats::from_json_value(v).map_err(|e| shape(format!("field `rounds`: {e}"))))
             .collect::<Result<Vec<_>, _>>()?;
         let round_mappings = doc
             .get("round_mappings")
@@ -639,7 +524,7 @@ impl SessionCheckpoint {
             .ok_or_else(|| shape("missing array field `pool`".into()))?
             .iter()
             .enumerate()
-            .map(|(i, e)| experiment_from_json(e, &format!("pool[{i}]")).map_err(shape))
+            .map(|(i, e)| Experiment::from_json_value(e, &format!("pool[{i}]")).map_err(shape))
             .collect::<Result<Vec<_>, _>>()?;
         let phase = doc
             .get("phase")
@@ -725,7 +610,7 @@ impl SessionCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PortSet, UopEntry};
+    use crate::{InstId, PortSet, UopEntry};
 
     fn tiny_mapping() -> ThreeLevelMapping {
         ThreeLevelMapping::new(

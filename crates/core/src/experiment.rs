@@ -1,5 +1,6 @@
 //! Experiments: multisets of instructions with measured throughputs.
 
+use crate::json::Value;
 use crate::InstId;
 use std::fmt;
 
@@ -107,6 +108,44 @@ impl Experiment {
         let remapped: Vec<(InstId, u32)> = self.counts.iter().map(|&(i, n)| (f(i), n)).collect();
         Experiment::from_counts(&remapped)
     }
+
+    /// The experiment as an array of `[id, count]` pairs.
+    pub(crate) fn to_json_value(&self) -> Value {
+        let pair = |(i, n): (InstId, u32)| {
+            Value::Arr(vec![Value::UInt(u64::from(i.0)), Value::UInt(u64::from(n))])
+        };
+        Value::Arr(self.iter().map(pair).collect())
+    }
+
+    /// Reads an experiment back from [`Self::to_json_value`]'s form,
+    /// naming `what` in every error. An empty experiment or a zero count
+    /// is rejected: neither describes a loop that can be measured.
+    pub(crate) fn from_json_value(v: &Value, what: &str) -> Result<Experiment, String> {
+        let rows = v
+            .as_arr()
+            .ok_or_else(|| format!("{what} must be an array of [inst, count] pairs"))?;
+        let mut counts = Vec::with_capacity(rows.len());
+        for (k, row) in rows.iter().enumerate() {
+            let pair = row
+                .as_arr()
+                .filter(|p| p.len() == 2)
+                .ok_or_else(|| format!("{what}[{k}] must be an [inst, count] pair"))?;
+            let id = pair[0]
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("{what}[{k}] instruction id must be a u32"))?;
+            let count = pair[1]
+                .as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{what}[{k}] count must be a positive u32"))?;
+            counts.push((InstId(id), count));
+        }
+        if counts.is_empty() {
+            return Err(format!("{what} must not be empty"));
+        }
+        Ok(Experiment::from_counts(&counts))
+    }
 }
 
 impl fmt::Display for Experiment {
@@ -146,6 +185,33 @@ impl MeasuredExperiment {
             experiment,
             throughput,
         }
+    }
+
+    /// The row as `{"experiment": [[id, count], …], "throughput": t}`,
+    /// the format of measurement artifacts and checkpoints alike.
+    pub(crate) fn to_json_value(&self) -> Value {
+        Value::Obj(vec![
+            ("experiment".into(), self.experiment.to_json_value()),
+            ("throughput".into(), Value::Num(self.throughput)),
+        ])
+    }
+
+    /// Reads a row back from [`Self::to_json_value`]'s form, naming
+    /// `what` in every error. The throughput must be positive and finite.
+    pub(crate) fn from_json_value(v: &Value, what: &str) -> Result<Self, String> {
+        let experiment = v
+            .get("experiment")
+            .ok_or_else(|| format!("{what} needs a field `experiment`"))
+            .and_then(|e| Experiment::from_json_value(e, &format!("{what}.experiment")))?;
+        let throughput = match v.get("throughput") {
+            Some(&Value::Num(t)) => t,
+            Some(&Value::UInt(t)) => t as f64,
+            _ => return Err(format!("{what} needs a number field `throughput`")),
+        };
+        if !(throughput.is_finite() && throughput > 0.0) {
+            return Err(format!("{what}.throughput must be positive and finite"));
+        }
+        Ok(MeasuredExperiment::new(experiment, throughput))
     }
 }
 

@@ -67,9 +67,8 @@ pub use checkpoint::{
 };
 
 pub use backend::{
-    measurements_from_json, measurements_to_json, measurements_to_json_pretty, BackendStats,
-    CachingBackend, MeasurementBackend, MeasurementJsonError, ModelBackend, NoisyBackend,
-    ReplayBackend,
+    measurements_from_json, measurements_to_json, BackendStats, CachingBackend,
+    MeasurementBackend, MeasurementJsonError, ModelBackend, ReplayBackend,
 };
 pub use eval::{CompiledExperiments, ThroughputSolver};
 pub use experiment::{Experiment, MeasuredExperiment};

@@ -337,7 +337,10 @@ impl RoundStats {
         ])
     }
 
-    /// Reads a round back from its [`Self::to_json_value`] form.
+    /// Reads a round back from its [`Self::to_json_value`] form. The
+    /// writer emits `null` for a non-finite number, and the only one a
+    /// round holds is the `+inf` training error of a round whose
+    /// evolution has not finished, so `null` reads as `+inf`.
     ///
     /// # Errors
     ///
@@ -351,6 +354,7 @@ impl RoundStats {
         let training_error = match v.get("training_error") {
             Some(&Value::Num(f)) => f,
             Some(&Value::UInt(n)) => n as f64,
+            Some(Value::Null) => f64::INFINITY,
             _ => return Err("round stats need a number field `training_error`".into()),
         };
         Ok(RoundStats {

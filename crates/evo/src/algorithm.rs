@@ -74,20 +74,7 @@ impl InferenceAlgorithm for PmEvoAlgorithm {
         num_ports: usize,
         backend: &mut dyn MeasurementBackend,
     ) -> InferredMapping {
-        let result = run(num_insts, num_ports, backend, &self.config);
-        InferredMapping {
-            algorithm: self.name().to_owned(),
-            mapping: result.mapping,
-            num_experiments: result.num_experiments,
-            measurements_performed: result.measurements_performed,
-            benchmarking_time: result.benchmarking_time,
-            inference_time: result.inference_time,
-            congruent_fraction: result.congruent_fraction,
-            num_classes: result.num_classes,
-            training_error: Some(result.evo.objectives.error),
-            rounds: result.rounds,
-            round_mappings: result.round_mappings,
-        }
+        run(num_insts, num_ports, backend, &self.config)
     }
 
     fn set_worker_threads(&mut self, threads: usize) {
@@ -128,7 +115,7 @@ mod tests {
         let direct = run(3, 3, &mut ModelBackend::new(gt()), &algorithm.config);
         assert_eq!(inferred.mapping, direct.mapping);
         assert_eq!(inferred.num_experiments, direct.num_experiments);
-        assert_eq!(inferred.training_error, Some(direct.evo.objectives.error));
+        assert_eq!(inferred.training_error, direct.training_error);
         assert_eq!(inferred.num_distinct_uops(), direct.num_distinct_uops());
     }
 

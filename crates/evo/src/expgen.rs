@@ -121,46 +121,6 @@ impl ExperimentGenerator {
         out.extend(self.pairs(indiv_tp));
         out
     }
-
-    /// Samples `count` random three-form experiments `{a↦1, b↦1, c↦1}`.
-    ///
-    /// Paper §4.1 notes that longer experiments can in theory unveil
-    /// resource conflicts the pair experiments cannot, but found no
-    /// quality benefit on real processors; this generator exists to
-    /// repeat that design-space exploration
-    /// ([`PipelineConfig::extra_triples`](crate::PipelineConfig)).
-    ///
-    /// Duplicates (within the sample and with fewer than 3 distinct
-    /// forms) are skipped, so fewer than `count` experiments may be
-    /// returned for tiny universes.
-    pub fn triples(&self, count: usize, seed: u64) -> Vec<Experiment> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::with_capacity(count);
-        let n = self.insts.len();
-        let mut attempts = 0usize;
-        while out.len() < count && attempts < count * 20 {
-            attempts += 1;
-            let mut picks = [0usize; 3];
-            for p in &mut picks {
-                *p = rng.gen_range(0..n);
-            }
-            picks.sort_unstable();
-            if picks[0] == picks[1] || picks[1] == picks[2] {
-                continue;
-            }
-            if seen.insert(picks) {
-                out.push(Experiment::from_counts(&[
-                    (self.insts[picks[0]], 1),
-                    (self.insts[picks[1]], 1),
-                    (self.insts[picks[2]], 1),
-                ]));
-            }
-        }
-        out
-    }
 }
 
 /// The lazy pair-experiment stream behind
@@ -274,30 +234,6 @@ mod tests {
         let all = g.all(&[1.0, 2.0, 4.0]);
         // 3 singletons + 3 plain pairs + 3 ratio pairs.
         assert_eq!(all.len(), 9);
-    }
-
-    #[test]
-    fn triples_are_distinct_and_sized() {
-        let g = ExperimentGenerator::new(ids(10));
-        let ts = g.triples(20, 5);
-        assert_eq!(ts.len(), 20);
-        for t in &ts {
-            assert_eq!(t.num_distinct(), 3);
-            assert_eq!(t.total_insts(), 3);
-        }
-        let mut dedup = ts.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ts.len(), "sampled duplicate triples");
-        // Deterministic under the seed.
-        assert_eq!(ts, g.triples(20, 5));
-    }
-
-    #[test]
-    fn triples_on_tiny_universe_saturate() {
-        let g = ExperimentGenerator::new(ids(3));
-        // Only one distinct triple exists.
-        assert_eq!(g.triples(10, 1).len(), 1);
     }
 
     #[test]

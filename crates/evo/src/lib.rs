@@ -43,5 +43,5 @@ pub use islands::{
     evolve_islands, island_seed, EvoState, Island, IslandConfig, IslandControl, IslandStart,
     IslandsEvolution,
 };
-pub use pipeline::{run, CheckpointConfig, PipelineConfig, PipelineResult};
+pub use pipeline::{run, CheckpointConfig, PipelineConfig};
 pub use selection::AdaptiveTuning;

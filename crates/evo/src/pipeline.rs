@@ -22,18 +22,18 @@
 //! a single path for both.
 
 use crate::congruence::{throughput_close, CongruencePartition};
-use crate::evolution::{EvoConfig, EvoResult};
+use crate::evolution::EvoConfig;
 use crate::expgen::ExperimentGenerator;
 use crate::islands::{evolve_islands, EvoState, IslandConfig, IslandControl, IslandObserver, IslandStart};
 use crate::selection::{run_adaptive, AdaptiveTuning};
 use pmevo_core::checkpoint::{CheckpointPhase, SessionCheckpoint};
 use pmevo_core::{
-    BackendStats, Experiment, InstId, MeasuredExperiment, MeasurementBackend,
+    BackendStats, Experiment, InferredMapping, InstId, MeasuredExperiment, MeasurementBackend,
     MeasurementBudget, RoundStats, SelectionPolicy, ThreeLevelMapping,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of a full pipeline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,12 +44,6 @@ pub struct PipelineConfig {
     /// Set to `false` to skip congruence filtering (ablation); every
     /// instruction becomes its own class.
     pub congruence_filtering: bool,
-    /// Number of additional random three-form experiments to measure
-    /// and train on. The paper explored longer experiments and found no
-    /// quality benefit (§4.1); 0 (the default) reproduces the paper's
-    /// final design, non-zero values repeat the exploration. Only used
-    /// by the one-shot path.
-    pub extra_triples: usize,
     /// How experiments are chosen: the paper's up-front corpus
     /// ([`SelectionPolicy::OneShot`], the default) or a round-based
     /// adaptive loop (see [`crate::selection`]).
@@ -74,7 +68,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             epsilon: 0.05,
             congruence_filtering: true,
-            extra_triples: 0,
             selection: SelectionPolicy::OneShot,
             budget: MeasurementBudget::UNLIMITED,
             adaptive: AdaptiveTuning::default(),
@@ -178,50 +171,6 @@ impl CheckpointWriter {
     }
 }
 
-/// Result of a pipeline run, including the Table 2 bookkeeping.
-#[derive(Debug, Clone)]
-pub struct PipelineResult {
-    /// The inferred mapping, expanded to the full instruction universe
-    /// (every instruction carries its class representative's
-    /// decomposition).
-    pub mapping: ThreeLevelMapping,
-    /// Time the backend spent performing real measurements (from its
-    /// [`BackendStats`]; cache hits of a
-    /// [`pmevo_core::CachingBackend`] cost nothing here).
-    pub benchmarking_time: Duration,
-    /// Wall time of this call minus the time this process spent
-    /// measuring: congruence filtering, evolution and local search, plus
-    /// the run's own bookkeeping.
-    pub inference_time: Duration,
-    /// Real measurements the backend performed for this run (deduped
-    /// experiments are counted once).
-    pub measurements_performed: u64,
-    /// Fraction of instructions merged into another instruction's class.
-    pub congruent_fraction: f64,
-    /// Number of congruence classes (= instructions seen by evolution).
-    pub num_classes: usize,
-    /// Number of measured experiments (benchmark workload size).
-    pub num_experiments: usize,
-    /// Per-round measurement accounting: a single round for the
-    /// one-shot policy, one entry per measurement round (round 0 = seed
-    /// corpus) for the adaptive policies.
-    pub rounds: Vec<RoundStats>,
-    /// Best full-universe mapping at the end of each round, parallel to
-    /// [`rounds`](Self::rounds) (the final entry equals
-    /// [`mapping`](Self::mapping)).
-    pub round_mappings: Vec<ThreeLevelMapping>,
-    /// The evolutionary algorithm's result on the representative
-    /// universe.
-    pub evo: EvoResult,
-}
-
-impl PipelineResult {
-    /// Number of distinct µops of the inferred mapping (paper Table 2).
-    pub fn num_distinct_uops(&self) -> usize {
-        self.mapping.num_distinct_uops()
-    }
-}
-
 /// Expands a mapping over the representative universe back to the full
 /// universe: every instruction carries its class representative's
 /// decomposition.
@@ -244,7 +193,11 @@ fn expand_mapping(
 
 /// Runs the full PMEvo pipeline on an instruction universe of
 /// `num_insts` forms (ids `0..num_insts`) over a machine with
-/// `num_ports` ports, measuring through `backend`.
+/// `num_ports` ports, measuring through `backend`, and returns the
+/// mapping, expanded to the full universe, with the Table 2
+/// bookkeeping. Benchmarking time and measurement counts come from the
+/// backend's [`BackendStats`]; inference time is the wall time of this
+/// call minus the time this process spent measuring.
 ///
 /// With the default [`SelectionPolicy::OneShot`] the full §4.1 corpus
 /// is measured up front; with a round-based policy the pipeline
@@ -276,7 +229,7 @@ pub fn run(
     num_ports: usize,
     backend: &mut dyn MeasurementBackend,
     config: &PipelineConfig,
-) -> PipelineResult {
+) -> InferredMapping {
     assert!(num_insts > 0, "empty instruction universe");
     let run_start: BackendStats = backend.stats();
     let wall_start = Instant::now();
@@ -378,17 +331,18 @@ pub fn run(
     let expand = |dense: &ThreeLevelMapping| {
         expand_mapping(&universe, &partition, &rep_index, dense, num_ports)
     };
-    PipelineResult {
+    InferredMapping {
+        algorithm: "PMEvo".to_owned(),
         mapping: expand(&evo.mapping),
+        num_experiments: state.measured.len(),
+        measurements_performed: used.measurements_performed,
         benchmarking_time: used.measurement_time,
         inference_time: wall_start.elapsed().saturating_sub(measured_here),
-        measurements_performed: used.measurements_performed,
         congruent_fraction: partition.merged_fraction(),
         num_classes: partition.num_classes(),
-        num_experiments: state.measured.len(),
+        training_error: Some(evo.objectives.error),
         rounds: state.rounds,
         round_mappings: state.round_mappings.iter().map(expand).collect(),
-        evo,
     }
 }
 
@@ -397,11 +351,11 @@ pub fn run(
 /// [`CheckpointPhase::Round`]`(0)`, with no evolution state.
 ///
 /// Both policies start with the singleton sweep. One-shot then measures
-/// the full pair corpus (plus any extra triples) and partitions it; the
-/// round-based policies seed their classes by pairwise verification
-/// under the budget and keep only the experiments entirely over
-/// representatives (a merged candidate's measurements are paid for but
-/// train nothing — its representative carries the class).
+/// the full pair corpus and partitions it; the round-based policies seed
+/// their classes by pairwise verification under the budget and keep only
+/// the experiments entirely over representatives (a merged candidate's
+/// measurements are paid for but train nothing — its representative
+/// carries the class).
 pub(crate) fn start_state(
     num_insts: usize,
     num_ports: usize,
@@ -448,12 +402,9 @@ pub(crate) fn start_state(
         measured.retain(|me| me.experiment.iter().all(|(i, _)| partition.representative(i) == i));
         (partition, CheckpointPhase::Round(0))
     } else {
-        let mut extra = generator.pairs(&indiv_tp);
-        if config.extra_triples > 0 {
-            extra.extend(generator.triples(config.extra_triples, config.evo.seed ^ 0x7319));
-        }
-        let extra_tp = backend.measure_batch_checked(&extra);
-        for (e, t) in extra.into_iter().zip(extra_tp) {
+        let pairs = generator.pairs(&indiv_tp);
+        let pair_tp = backend.measure_batch_checked(&pairs);
+        for (e, t) in pairs.into_iter().zip(pair_tp) {
             measured.push(MeasuredExperiment::new(e, t));
         }
         let partition = if config.congruence_filtering {
@@ -561,6 +512,7 @@ fn verified_congruence_seed(
 mod tests {
     use super::*;
     use pmevo_core::{CachingBackend, Experiment, ModelBackend, PortSet, UopEntry};
+    use std::time::Duration;
 
     fn uop(count: u32, ports: &[usize]) -> UopEntry {
         UopEntry::new(count, PortSet::from_ports(ports))
@@ -604,11 +556,8 @@ mod tests {
         assert_eq!(result.num_classes, 3);
         assert!((result.congruent_fraction - 0.4).abs() < 1e-12);
         // The inferred mapping explains the training data well.
-        assert!(
-            result.evo.objectives.error < 0.05,
-            "pipeline error {}",
-            result.evo.objectives.error
-        );
+        let error = result.training_error.expect("PMEvo reports its training error");
+        assert!(error < 0.05, "pipeline error {error}");
         // Expanded mapping covers all 5 instructions and congruent forms
         // share decompositions.
         assert_eq!(result.mapping.num_insts(), 5);
@@ -710,20 +659,5 @@ mod tests {
         // Of the two merge candidates (i1→i0, i3→i2) only the first
         // could be verified; the unverified one stays its own class.
         assert_eq!(result.num_classes, 4);
-    }
-
-    #[test]
-    fn extra_triples_extend_the_training_set() {
-        let mut base_cfg = small_config();
-        base_cfg.evo.max_generations = 2;
-        let mut triple_cfg = base_cfg.clone();
-        triple_cfg.extra_triples = 6;
-        let base = run(5, 3, &mut ModelBackend::new(toy_ground_truth()), &base_cfg);
-        let with_triples = run(5, 3, &mut ModelBackend::new(toy_ground_truth()), &triple_cfg);
-        assert_eq!(
-            with_triples.num_experiments,
-            base.num_experiments + 6,
-            "triples must be measured on top of singletons and pairs"
-        );
     }
 }

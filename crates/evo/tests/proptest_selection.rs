@@ -9,10 +9,10 @@
 //! or batches.
 
 use pmevo_core::{
-    BackendStats, Experiment, MeasurementBackend, MeasurementBudget, ModelBackend, PortSet,
-    RoundStats, SelectionPolicy, ThreeLevelMapping, UopEntry,
+    BackendStats, Experiment, InferredMapping, MeasurementBackend, MeasurementBudget,
+    ModelBackend, PortSet, RoundStats, SelectionPolicy, ThreeLevelMapping, UopEntry,
 };
-use pmevo_evo::{run, AdaptiveTuning, EvoConfig, PipelineConfig, PipelineResult};
+use pmevo_evo::{run, AdaptiveTuning, EvoConfig, PipelineConfig};
 use proptest::prelude::*;
 
 /// A test decorator that forwards every batch in fixed-size chunks, the
@@ -97,14 +97,14 @@ fn adaptive_config(
 
 /// The deterministic fingerprint of a pipeline result: everything
 /// except the wall-clock fields.
-fn fingerprint(result: &PipelineResult) -> (ThreeLevelMapping, Vec<RoundStats>, Vec<ThreeLevelMapping>, u64, usize, String) {
+fn fingerprint(result: &InferredMapping) -> (ThreeLevelMapping, Vec<RoundStats>, Vec<ThreeLevelMapping>, u64, usize, String) {
     (
         result.mapping.clone(),
         result.rounds.iter().map(|r| r.without_timing()).collect(),
         result.round_mappings.clone(),
         result.measurements_performed,
         result.num_experiments,
-        format!("{:?}", result.evo.objectives),
+        format!("{:?}", result.training_error),
     )
 }
 

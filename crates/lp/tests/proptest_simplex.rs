@@ -8,17 +8,13 @@
 //! * the returned objective must not be beaten by any feasible point we can
 //!   construct independently (here: scaled unit vectors and the origin).
 
-use proptest::prelude::*;
 use pmevo_lp::{LpError, Problem, Relation};
+use proptest::prelude::*;
 
 const TOL: f64 = 1e-6;
 
 fn relation_strategy() -> impl Strategy<Value = Relation> {
-    prop_oneof![
-        Just(Relation::Le),
-        Just(Relation::Ge),
-        Just(Relation::Eq),
-    ]
+    prop_oneof![Just(Relation::Le), Just(Relation::Ge), Just(Relation::Eq)]
 }
 
 /// A random problem together with its raw constraint data for re-checking.

@@ -55,6 +55,6 @@ mod store;
 pub use lru::LruCache;
 pub use predictor::{PredictStats, Predictor, PredictorConfig};
 pub use store::{
-    load_artifact_file, validate_mapping_name, ArtifactFormat, LoadedArtifact, MappingId,
-    MappingStore, ResidencyStats, StoreError, StoredMapping, NUM_SHARDS,
+    load_artifact_file, validate_mapping_name, LoadedArtifact, MappingId, MappingStore,
+    ResidencyStats, StoreError, StoredMapping, NUM_SHARDS,
 };

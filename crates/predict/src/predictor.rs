@@ -24,8 +24,7 @@
 use crate::lru::LruCache;
 use crate::store::{LoadedArtifact, MappingId, MappingStore, StoreError};
 use pmevo_core::{
-    pool, CompiledExperiments, Experiment, MappingJsonError, MeasuredExperiment, ThreeLevelMapping,
-    ThroughputSolver,
+    pool, CompiledExperiments, Experiment, MeasuredExperiment, ThreeLevelMapping, ThroughputSolver,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,50 +210,14 @@ impl Predictor {
         id
     }
 
-    /// [`insert_mapping`](Self::insert_mapping) from a JSON mapping
-    /// artifact — a pinned (never-evicted) registration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the artifact's parse failure without touching the store.
-    pub fn load_artifact(
-        &self,
-        name: impl Into<String>,
-        inst_names: Vec<String>,
-        artifact_json: &str,
-    ) -> Result<MappingId, MappingJsonError> {
-        let mapping = ThreeLevelMapping::from_json(artifact_json)?;
-        Ok(self.insert_mapping(name, inst_names, mapping))
-    }
-
-    /// Registers a mapping from an artifact *file* into the live service
-    /// — the daemon's hot-reload entry point. The entry remembers its
-    /// path, so under a store budget it is evictable and lazily
-    /// reloadable; see [`MappingStore::insert_from_file`].
+    /// Registers an artifact the caller has already loaded and validated
+    /// into the live service — the daemon's hot-reload entry point; see
+    /// [`MappingStore::insert_loaded`]. The entry remembers its path, so
+    /// under a store budget it is evictable and lazily reloadable.
     ///
     /// The swap is atomic either way: on success new snapshots observe
     /// the new version, and on failure the serving snapshot is exactly
     /// what it was — no partially-inserted entry, no burned version.
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreError`]; the store is untouched on every error.
-    pub fn insert_from_file(
-        &self,
-        name: impl Into<String>,
-        path: &str,
-        json_names: Option<&[String]>,
-    ) -> Result<MappingId, StoreError> {
-        let mut guard = self.store.write().expect("store lock poisoned");
-        let mut next = MappingStore::clone(&guard);
-        let id = next.insert_from_file(name, path, json_names)?;
-        *guard = Arc::new(next);
-        Ok(id)
-    }
-
-    /// [`insert_from_file`](Self::insert_from_file) for an artifact the
-    /// caller has already loaded and validated — see
-    /// [`MappingStore::insert_loaded`]. Same atomic-swap contract.
     ///
     /// # Errors
     ///
@@ -640,7 +603,16 @@ mod tests {
         let (store, _) = demo_store();
         let predictor = Predictor::new(store, PredictorConfig { workers: 1, cache_capacity: 0 });
         let before = predictor.snapshot().len();
-        assert!(predictor.load_artifact("demo", vec!["x".into()], "{nope").is_err());
+        // A second version of "demo" whose name table is not the first's.
+        let loaded = LoadedArtifact {
+            inst_names: vec!["x".into()],
+            mapping: ThreeLevelMapping::new(1, vec![vec![UopEntry::new(1, PortSet::from_ports(&[0]))]]),
+            path: "x.bin".into(),
+        };
+        assert!(matches!(
+            predictor.insert_loaded("demo", loaded),
+            Err(StoreError::NameTableMismatch { .. })
+        ));
         assert_eq!(predictor.snapshot().len(), before);
     }
 

@@ -41,8 +41,7 @@
 use crate::lru::LruCache;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{
-    parse_sequence, Experiment, InstId, MappingArtifact, MappingJsonError, SequenceParseError,
-    ThreeLevelMapping,
+    parse_sequence, Experiment, InstId, MappingArtifact, SequenceParseError, ThreeLevelMapping,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -193,25 +192,6 @@ pub fn validate_mapping_name(name: &str) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// On-disk encoding of one mapping artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactFormat {
-    /// The hand-rolled JSON codec (`ThreeLevelMapping::to_json`).
-    Json,
-    /// The packed binary codec ([`MappingArtifact`]).
-    Bin,
-}
-
-impl ArtifactFormat {
-    /// The format's conventional name (`"json"` / `"bin"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactFormat::Json => "json",
-            ArtifactFormat::Bin => "bin",
-        }
-    }
-}
-
 /// A mapping artifact read from disk: the decomposition, the name table
 /// it is indexed by, and where it came from (so the store can go back).
 #[derive(Debug, Clone)]
@@ -220,8 +200,6 @@ pub struct LoadedArtifact {
     pub inst_names: Vec<String>,
     /// The decomposition tables.
     pub mapping: ThreeLevelMapping,
-    /// How the file was encoded (detected by content, not extension).
-    pub format: ArtifactFormat,
     /// The path the artifact was read from.
     pub path: String,
 }
@@ -254,7 +232,7 @@ pub fn load_artifact_file(
                 return Err(StoreError::NameTableMismatch { path: path.to_owned(), what });
             }
         }
-        Ok(LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Bin, path: path.into() })
+        Ok(LoadedArtifact { inst_names, mapping, path: path.into() })
     } else {
         let text = std::str::from_utf8(&bytes).map_err(|_| StoreError::Decode {
             path: path.to_owned(),
@@ -275,7 +253,7 @@ pub fn load_artifact_file(
                 ),
             });
         }
-        Ok(LoadedArtifact { inst_names, mapping, format: ArtifactFormat::Json, path: path.into() })
+        Ok(LoadedArtifact { inst_names, mapping, path: path.into() })
     }
 }
 
@@ -339,13 +317,6 @@ fn payload_cost(mapping: &ThreeLevelMapping) -> u64 {
     48 + 24 * mapping.num_insts() as u64 + 16 * entries as u64
 }
 
-/// Where an evictable entry's payload can be reloaded from.
-#[derive(Debug, Clone)]
-struct ArtifactSource {
-    path: String,
-    format: ArtifactFormat,
-}
-
 /// One immutable mapping registered in a [`MappingStore`]: its
 /// name/version identity and shape metadata (always resident), the
 /// interned instruction-name table (always resident), and the
@@ -361,9 +332,10 @@ pub struct StoredMapping {
     num_ports: usize,
     payload_cost: u64,
     names: Arc<NameTable>,
-    /// `None` for pinned entries (registered from memory — nothing to
-    /// reload from, so they are never evicted).
-    source: Option<ArtifactSource>,
+    /// The artifact path the payload reloads from; `None` for pinned
+    /// entries (registered from memory — nothing to reload from, so
+    /// they are never evicted).
+    source: Option<String>,
     /// The decomposition payload; `None` while evicted.
     payload: Mutex<Option<Arc<ThreeLevelMapping>>>,
     residency: Arc<Residency>,
@@ -430,17 +402,17 @@ impl StoredMapping {
 
     /// Reads and re-validates this entry's artifact.
     fn reload(&self) -> Result<ThreeLevelMapping, StoreError> {
-        let source = self.source.as_ref().unwrap_or_else(|| {
+        let path = self.source.as_deref().unwrap_or_else(|| {
             // Pinned entries are never evicted, so their payload is
             // always resident and the slow path is unreachable.
             unreachable!("pinned entry {} lost its payload", self.label())
         });
-        let loaded = load_artifact_file(&source.path, Some(&self.names.inst_names))?;
+        let loaded = load_artifact_file(path, Some(&self.names.inst_names))?;
         if loaded.mapping.num_insts() != self.num_insts
             || loaded.mapping.num_ports() != self.num_ports
         {
             return Err(StoreError::ShapeMismatch {
-                path: source.path.clone(),
+                path: path.to_owned(),
                 what: format!(
                     "artifact is {}×{} (insts×ports), entry was registered as {}×{}",
                     loaded.mapping.num_insts(),
@@ -467,12 +439,7 @@ impl StoredMapping {
     /// The artifact path this entry (re)loads from, if it was registered
     /// from a file.
     pub fn source_path(&self) -> Option<&str> {
-        self.source.as_ref().map(|s| s.path.as_str())
-    }
-
-    /// The on-disk encoding of the source artifact, if any.
-    pub fn source_format(&self) -> Option<ArtifactFormat> {
-        self.source.as_ref().map(|s| s.format)
+        self.source.as_deref()
     }
 
     /// Number of instructions the mapping covers.
@@ -773,27 +740,6 @@ impl MappingStore {
         self.insert_inner(name, inst_names, mapping, None)
     }
 
-    /// Registers a mapping from its JSON artifact *content* (the format
-    /// written by `pmevo-cli infer` and the bench harness cache). The
-    /// entry is pinned, like [`Self::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the artifact's parse failure; see [`MappingJsonError`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`insert`](Self::insert).
-    pub fn load_artifact(
-        &mut self,
-        name: impl Into<String>,
-        inst_names: Vec<String>,
-        artifact_json: &str,
-    ) -> Result<MappingId, MappingJsonError> {
-        let mapping = ThreeLevelMapping::from_json(artifact_json)?;
-        Ok(self.insert(name, inst_names, mapping))
-    }
-
     /// Registers a mapping from an artifact *file*, remembering the path
     /// so the payload can be evicted under a byte budget and lazily
     /// reloaded on the next query. Binary artifacts bring their own name
@@ -863,8 +809,7 @@ impl MappingStore {
                 });
             }
         }
-        let source = ArtifactSource { path: loaded.path, format: loaded.format };
-        Ok(self.insert_inner(name, loaded.inst_names, loaded.mapping, Some(source)))
+        Ok(self.insert_inner(name, loaded.inst_names, loaded.mapping, Some(loaded.path)))
     }
 
     fn insert_inner(
@@ -872,7 +817,7 @@ impl MappingStore {
         name: String,
         inst_names: Vec<String>,
         mapping: ThreeLevelMapping,
-        source: Option<ArtifactSource>,
+        source: Option<String>,
     ) -> MappingId {
         assert_eq!(
             inst_names.len(),
@@ -1166,9 +1111,9 @@ mod tests {
     fn artifact_roundtrip_loads() {
         let m = mapping(3, &[&[0, 2], &[1]]);
         let mut store = MappingStore::new();
-        let id = store.load_artifact("rt", names(2), &m.to_json()).unwrap();
+        let id = store.insert("rt", names(2), ThreeLevelMapping::from_json(&m.to_json()).unwrap());
         assert_eq!(*store.get(id).mapping().unwrap(), m);
-        assert!(store.load_artifact("rt", names(2), "{not json").is_err());
+        assert!(ThreeLevelMapping::from_json("{not json").is_err());
     }
 
     #[test]

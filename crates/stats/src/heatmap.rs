@@ -157,7 +157,12 @@ impl fmt::Display for Heatmap {
             }
             writeln!(f, "|")?;
         }
-        write!(f, "+{}+ 0..{:.0} cycles", "-".repeat(self.bins), self.limit())
+        write!(
+            f,
+            "+{}+ 0..{:.0} cycles",
+            "-".repeat(self.bins),
+            self.limit()
+        )
     }
 }
 

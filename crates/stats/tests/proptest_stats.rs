@@ -1,7 +1,7 @@
 //! Property tests for the accuracy metrics and heat maps.
 
-use proptest::prelude::*;
 use pmevo_stats::{mape, pearson, spearman, Heatmap};
+use proptest::prelude::*;
 
 fn sample_pairs() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
     (2usize..40).prop_flat_map(|n| {

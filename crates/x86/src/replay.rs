@@ -15,6 +15,7 @@ use crate::corpus::parse_corpus;
 use crate::normalize::normalize;
 use crate::parse::parse_line;
 use crate::uarch::Resolver;
+use pmevo_core::binfmt::fnv1a;
 use pmevo_core::json::{self, Value};
 use pmevo_core::{Experiment, InstId};
 use pmevo_predict::{MappingId, Predictor};
@@ -102,18 +103,6 @@ pub struct Replay {
     pub accounting: Accounting,
 }
 
-/// FNV-1a over the raw bits of every prediction, in block order.
-fn checksum(cycles: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in cycles {
-        for b in t.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Replays a corpus against one stored mapping.
 ///
 /// Every line of every block is resolved (even after a block has already
@@ -189,7 +178,9 @@ pub fn replay(corpus: &str, resolver: &Resolver<'_>, predictor: &Predictor, id: 
     for (&at, &t) in mapped_at.iter().zip(&cycles) {
         outcomes[at].result = BlockResult::Cycles(t);
     }
-    acc.checksum = checksum(cycles.into_iter());
+    // FNV-1a over the raw bits of every prediction, in block order.
+    let bits: Vec<u8> = cycles.iter().flat_map(|t| t.to_bits().to_le_bytes()).collect();
+    acc.checksum = fnv1a(&bits);
     Replay { outcomes, accounting: acc }
 }
 

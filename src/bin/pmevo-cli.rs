@@ -14,7 +14,7 @@
 //!   generations, and `--resume` continues from it bit-identically
 //!   (flags not repeated are adopted from the artifact);
 //! * `show --platform SKL --mapping mapping.json [--limit 20]` — render
-//!   a mapping in uops.info-style notation;
+//!   a mapping (a JSON or binary artifact) in uops.info-style notation;
 //! * `convert --in artifact --out artifact [--platform SKL]` — convert
 //!   a mapping artifact between JSON and the compact binary format (the
 //!   direction is sniffed from the input's magic); JSON inputs need
@@ -26,7 +26,8 @@
 //!   through a cached, worker-pooled [`pmevo_predict::Predictor`];
 //! * `predict --platform SKL --mapping mapping.json --experiment
 //!   "add_r64_r64:2,imul_r64_r64:1"` — one-off mode: predict (and
-//!   measure) one experiment's throughput;
+//!   measure) the throughput of one experiment, written in the serving
+//!   mode's sequence grammar;
 //! * `predict --corpus blocks.txt --isa x86 --uarch skl
 //!   --mapping SKL=skl.json` — corpus replay: parse a BHive-style file
 //!   of disassembled basic blocks (AT&T or Intel syntax), resolve each
@@ -42,18 +43,16 @@
 
 use pmevo::baselines::{CountingAlgorithm, LpAlgorithm, RandomAlgorithm};
 use pmevo::core::json::{self, Value};
-use pmevo::core::{
-    render, suggest, Experiment, InstId, MappingArtifact, SequenceParseError, ServeRecord,
-    ThreeLevelMapping,
-};
+use pmevo::core::{render, Experiment, MappingArtifact, SequenceParseError, ServeRecord};
 use pmevo::machine::{platforms, MeasureConfig, Measurer, Platform};
 use pmevo::core::{MeasurementBudget, SelectionPolicy};
-use pmevo::predict::{MappingId, MappingStore, Predictor, PredictorConfig};
+use pmevo::predict::{MappingId, MappingStore, Predictor, PredictorConfig, StoredMapping};
 use pmevo::serve::flags::{byte_flag, flag, flag_all, num_flag, positive_flag};
 use pmevo::serve::{load_spec_artifact, route_line, store_from_specs};
 use pmevo::{Session, SessionCheckpoint};
 use std::io::{BufRead, Read, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -126,71 +125,6 @@ fn platform_from(args: &[String]) -> Result<Platform, ExitCode> {
             Err(ExitCode::from(2))
         }
     }
-}
-
-fn load_mapping(args: &[String], platform: &Platform) -> Result<ThreeLevelMapping, ExitCode> {
-    let Some(path) = flag(args, "--mapping") else {
-        eprintln!("missing --mapping <file.json>");
-        return Err(ExitCode::from(2));
-    };
-    let data = match std::fs::read_to_string(&path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return Err(ExitCode::from(1));
-        }
-    };
-    let mapping = match ThreeLevelMapping::from_json(&data) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            return Err(ExitCode::from(1));
-        }
-    };
-    if mapping.num_insts() != platform.isa().len() || mapping.num_ports() != platform.num_ports() {
-        eprintln!(
-            "mapping shape ({} insts, {} ports) does not match platform {} ({} insts, {} ports)",
-            mapping.num_insts(),
-            mapping.num_ports(),
-            platform.name(),
-            platform.isa().len(),
-            platform.num_ports()
-        );
-        return Err(ExitCode::from(1));
-    }
-    Ok(mapping)
-}
-
-/// Parses `"name:count,name:count"` into an experiment.
-fn parse_experiment(platform: &Platform, spec: &str) -> Result<Experiment, String> {
-    let mut counts: Vec<(InstId, u32)> = Vec::new();
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (name, count) = match part.rsplit_once(':') {
-            Some((n, c)) => (
-                n.trim(),
-                c.trim()
-                    .parse::<u32>()
-                    .map_err(|_| format!("bad count in {part:?}"))?,
-            ),
-            None => (part, 1),
-        };
-        let id = platform.isa().find(name).ok_or_else(|| {
-            let names = platform.isa().forms().iter().map(|f| f.name.as_str());
-            match suggest::nearest(name, names) {
-                Some(s) => format!("unknown instruction form {name:?} (did you mean {s:?}?)"),
-                None => format!("unknown instruction form {name:?}"),
-            }
-        })?;
-        counts.push((id, count));
-    }
-    if counts.is_empty() {
-        return Err("empty experiment".to_string());
-    }
-    Ok(Experiment::from_counts(&counts))
 }
 
 fn cmd_platforms() -> ExitCode {
@@ -444,11 +378,18 @@ fn cmd_show(args: &[String]) -> ExitCode {
         Ok(v) => v,
         Err(c) => return c,
     };
-    let mapping = match load_mapping(args, &platform) {
-        Ok(m) => m,
+    let entry = match platform_entry(args, &platform) {
+        Ok(e) => e,
         Err(c) => return c,
     };
-    let s = render::summary(&mapping, |i| platform.isa().form(i).name.clone());
+    let mapping = match entry.mapping() {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let s = render::summary(&mapping, |i| entry.inst_names()[i.index()].clone());
     for (name, decomp) in s.lines().iter().take(limit) {
         println!("{name:28} {decomp}");
     }
@@ -488,8 +429,29 @@ fn build_store(args: &[String]) -> Result<MappingStore, ExitCode> {
     }
     store_from_specs(&specs, budget).map_err(|message| {
         eprintln!("error: {message}");
-        usage()
+        // No --mapping at all is a usage error; an artifact that does
+        // not load is a runtime failure.
+        if specs.is_empty() {
+            usage()
+        } else {
+            let _ = usage();
+            ExitCode::FAILURE
+        }
     })
+}
+
+/// The `--mapping` artifact of `--platform`, loaded through
+/// [`build_store`], which checks it against the platform's instruction
+/// names and port count — what `show` and one-off `predict` work on.
+fn platform_entry(args: &[String], platform: &Platform) -> Result<Arc<StoredMapping>, ExitCode> {
+    let store = build_store(args)?;
+    match store.latest(platform.name()) {
+        Some(id) => Ok(store.get_arc(id)),
+        None => {
+            eprintln!("error: no --mapping for platform {}", platform.name());
+            Err(usage())
+        }
+    }
 }
 
 /// Serving mode: stream sequences from stdin through a [`Predictor`],
@@ -743,18 +705,24 @@ fn cmd_predict(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(c) => return c,
     };
-    let mapping = match load_mapping(args, &platform) {
-        Ok(m) => m,
+    let entry = match platform_entry(args, &platform) {
+        Ok(e) => e,
         Err(c) => return c,
     };
-    let experiment = match parse_experiment(&platform, &spec) {
+    let experiment = match entry.parse(&spec) {
         Ok(e) => e,
-        Err(msg) => {
-            eprintln!("{msg}");
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
-    let predicted = mapping.throughput(&experiment);
+    let predicted = match entry.mapping() {
+        Ok(m) => m.throughput(&experiment),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let measured = Measurer::new(&platform, MeasureConfig::default()).measure(&experiment);
     println!("experiment: {experiment}");
     println!("predicted:  {predicted:.3} cycles");

@@ -117,7 +117,6 @@ pub struct SessionBuilder {
     algorithm: Option<BoxedAlgorithm>,
     seed: u64,
     measure_config: MeasureConfig,
-    cache_measurements: bool,
     population: Option<usize>,
     max_generations: Option<u32>,
     selection: SelectionPolicy,
@@ -140,7 +139,6 @@ impl Default for SessionBuilder {
             algorithm: None,
             seed: 0xA11CE,
             measure_config: MeasureConfig::default(),
-            cache_measurements: true,
             population: None,
             max_generations: None,
             selection: SelectionPolicy::OneShot,
@@ -183,7 +181,8 @@ impl SessionBuilder {
     }
 
     /// The measurement backend. Defaults to a [`SimBackend`] over the
-    /// configured platform.
+    /// configured platform. Either way the session wraps it in a
+    /// [`CachingBackend`], so a repeated experiment is measured once.
     #[must_use]
     pub fn backend(mut self, backend: impl MeasurementBackend + Send + 'static) -> Self {
         self.backend = Some(Box::new(backend));
@@ -212,14 +211,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn measure_config(mut self, config: MeasureConfig) -> Self {
         self.measure_config = config;
-        self
-    }
-
-    /// Whether to wrap the backend in a [`CachingBackend`] so repeated
-    /// experiments are measured once (default: `true`).
-    #[must_use]
-    pub fn cache_measurements(mut self, cache: bool) -> Self {
-        self.cache_measurements = cache;
         self
     }
 
@@ -379,11 +370,7 @@ impl SessionBuilder {
             (None, Some(p)) => Box::new(SimBackend::new(p.clone(), self.measure_config)),
             (None, None) => return Err(SessionError::MissingBackend),
         };
-        let backend: BoxedBackend = if self.cache_measurements {
-            Box::new(CachingBackend::new(backend))
-        } else {
-            backend
-        };
+        let backend: BoxedBackend = Box::new(CachingBackend::new(backend));
         let algorithm: BoxedAlgorithm = match self.algorithm {
             Some(a) => a,
             None => {

@@ -1,15 +1,12 @@
-//! Decorator-composition coverage: `CachingBackend` + `NoisyBackend`
-//! under multi-round adaptive selection.
+//! `CachingBackend` under multi-round adaptive selection.
 //!
 //! The adaptive scheduler submits many small batches across rounds and
-//! runs; the decorator stack must (a) never double-bill an experiment
-//! that the cache already answered, and (b) produce values that do not
-//! depend on decorator order, batch boundaries or submission order —
-//! the noise stream is a pure function of `(seed, experiment)`.
+//! runs; the cache must never double-bill an experiment it already
+//! answered.
 
 use pmevo::core::{
-    CachingBackend, Experiment, InstId, MeasurementBackend, MeasurementBudget, ModelBackend,
-    NoisyBackend, PortSet, SelectionPolicy, ThreeLevelMapping, UopEntry,
+    CachingBackend, MeasurementBackend, MeasurementBudget, ModelBackend, PortSet,
+    SelectionPolicy, ThreeLevelMapping, UopEntry,
 };
 use pmevo::evo::{run, AdaptiveTuning, EvoConfig, PipelineConfig};
 
@@ -49,12 +46,12 @@ fn adaptive_config(seed: u64) -> PipelineConfig {
     }
 }
 
-/// A cached noisy backend, driven through two whole adaptive runs:
-/// the second run's submissions are all cache hits, so its rounds bill
-/// zero real measurements and its result is bit-identical.
+/// A cached backend, driven through two whole adaptive runs: the
+/// second run's submissions are all cache hits, so its rounds bill zero
+/// real measurements and its result is bit-identical.
 #[test]
 fn multi_round_selection_never_double_bills_cached_experiments() {
-    let mut stack = CachingBackend::new(NoisyBackend::new(ModelBackend::new(ground_truth()), 0.02, 9));
+    let mut stack = CachingBackend::new(ModelBackend::new(ground_truth()));
     let config = adaptive_config(5);
 
     let first = run(5, 3, &mut stack, &config);
@@ -98,74 +95,4 @@ fn multi_round_selection_never_double_bills_cached_experiments() {
         second.rounds[0].training_error,
         first.rounds[0].training_error
     );
-}
-
-/// `cached(noisy(model))` and `noisy(cached(model))` agree on every
-/// value: the noise stream depends only on `(seed, experiment)`, so
-/// caching under or over the noise is observationally equivalent.
-#[test]
-fn decorator_order_does_not_change_measured_values() {
-    let sigma = 0.05;
-    let seed = 42;
-    let mut cached_noisy =
-        CachingBackend::new(NoisyBackend::new(ModelBackend::new(ground_truth()), sigma, seed));
-    let mut noisy_cached =
-        NoisyBackend::new(CachingBackend::new(ModelBackend::new(ground_truth())), sigma, seed);
-
-    let exps: Vec<Experiment> = (0..5u32)
-        .map(|i| Experiment::singleton(InstId(i)))
-        .chain((0..4u32).map(|i| Experiment::pair(InstId(i), 1, InstId(i + 1), 2)))
-        .collect();
-    // Same experiments, different batch boundaries and repetition
-    // patterns per stack.
-    let a: Vec<f64> = exps.chunks(3).flat_map(|c| cached_noisy.measure_batch(c)).collect();
-    let mut b: Vec<f64> = Vec::new();
-    for e in &exps {
-        b.push(noisy_cached.measure_batch(std::slice::from_ref(e))[0]);
-    }
-    assert_eq!(a, b, "decorator order changed measured values");
-    // Noise actually fired (the stack is not silently exact).
-    let mut exact = ModelBackend::new(ground_truth());
-    assert_ne!(a, exact.measure_batch(&exps));
-
-    // Re-measuring in reverse order answers from cache with the same
-    // values and bills nothing new on the caching stack.
-    let performed = cached_noisy.stats().measurements_performed;
-    let reversed: Vec<Experiment> = exps.iter().rev().cloned().collect();
-    let c = cached_noisy.measure_batch(&reversed);
-    assert_eq!(
-        c,
-        a.iter().rev().copied().collect::<Vec<f64>>(),
-        "submission order changed cached values"
-    );
-    assert_eq!(cached_noisy.stats().measurements_performed, performed);
-}
-
-/// The full adaptive pipeline over both stack orders produces the same
-/// inference outcome — the scheduler sees identical measurements either
-/// way.
-#[test]
-fn adaptive_run_is_stack_order_independent() {
-    let sigma = 0.03;
-    let noise_seed = 7;
-    let config = adaptive_config(11);
-    let mut cached_noisy = CachingBackend::new(NoisyBackend::new(
-        ModelBackend::new(ground_truth()),
-        sigma,
-        noise_seed,
-    ));
-    let mut noisy_cached = NoisyBackend::new(
-        CachingBackend::new(ModelBackend::new(ground_truth())),
-        sigma,
-        noise_seed,
-    );
-    let a = run(5, 3, &mut cached_noisy, &config);
-    let b = run(5, 3, &mut noisy_cached, &config);
-    assert_eq!(a.mapping, b.mapping);
-    assert_eq!(a.num_experiments, b.num_experiments);
-    assert_eq!(a.evo.objectives.error, b.evo.objectives.error);
-    for (ra, rb) in a.rounds.iter().zip(&b.rounds) {
-        assert_eq!(ra.training_error, rb.training_error);
-        assert_eq!(ra.experiments_submitted, rb.experiments_submitted);
-    }
 }

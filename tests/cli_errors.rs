@@ -256,6 +256,47 @@ fn experiment_mode_suggests_nearest_form() {
     );
 }
 
+/// A zero repeat count in the one-off `--experiment` path is a parse
+/// error: it neither panics in the loop builder nor drops the term from
+/// a longer experiment.
+#[test]
+fn experiment_mode_rejects_zero_counts() {
+    let dir = ScratchDir::new("experiment_mode_rejects_zero_counts");
+    let tiny = dir.write("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
+    for spec in ["add_r64_r64_r64:0", "add_r64_r64_r64:0,mul_r64_r64_r64:2"] {
+        let out = run(&[
+            "predict",
+            "--platform", "TINY",
+            "--mapping", tiny.to_str().unwrap(),
+            "--experiment", spec,
+        ]);
+        let stderr = stderr_of(&out);
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        assert!(stderr.contains("bad repeat count"), "{spec}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+    }
+}
+
+/// `show` reads a binary artifact like every other mapping reader, and
+/// renders it exactly like the JSON artifact it was converted from.
+#[test]
+fn show_renders_a_binary_artifact_like_its_json() {
+    let dir = ScratchDir::new("show_renders_a_binary_artifact_like_its_json");
+    let json = dir.write("tiny.json", &platforms::tiny().ground_truth().to_json_pretty());
+    let bin = dir.path("tiny.bin");
+    let (json, bin) = (json.to_str().unwrap(), bin.to_str().unwrap());
+    let out = run(&["convert", "--in", json, "--out", bin, "--platform", "TINY"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let show = |path: &str| run(&["show", "--platform", "TINY", "--mapping", path]);
+    let (from_json, from_bin) = (show(json), show(bin));
+    assert!(from_json.status.success(), "{}", stderr_of(&from_json));
+    assert!(from_bin.status.success(), "{}", stderr_of(&from_bin));
+    assert_eq!(
+        String::from_utf8_lossy(&from_bin.stdout),
+        String::from_utf8_lossy(&from_json.stdout)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint/resume error paths: a corrupted, truncated, missing or
 // mismatched artifact must produce a positioned error, never a panic.
